@@ -134,3 +134,66 @@ func TestRemoteWriteSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state remote write: %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestPoolRemoteFillSteadyStateAllocs extends the proof past the 1×1
+// pair: in a 2×2 pool every fill crosses the fabric switch twice (request
+// and response), and the warmed path still allocates nothing — the switch
+// forwards each beat on a pooled continuation.
+func TestPoolRemoteFillSteadyStateAllocs(t *testing.T) {
+	p := NewPool(poolConfig(2, 2))
+	r, err := p.Attach(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.Borrowers[0].NewRemoteHierarchy()
+	var fills uint64
+	done := func() { fills++ }
+	next := uint64(0)
+	fill := func() {
+		h.Access(r.Addr(next*ocapi.CacheLineSize), ocapi.CacheLineSize, false, done)
+		next++
+		p.K.Run()
+	}
+	for i := 0; i < 512; i++ {
+		fill()
+	}
+	warm, forwarded := fills, p.Switch.Forwarded()
+	if avg := testing.AllocsPerRun(200, fill); avg != 0 {
+		t.Errorf("steady-state pool remote fill: %.2f allocs/op, want 0", avg)
+	}
+	if fills <= warm {
+		t.Fatal("measured region completed no fills")
+	}
+	if p.Switch.Forwarded() == forwarded {
+		t.Fatal("measured fills never crossed the switch")
+	}
+}
+
+// TestLocalWritebackSteadyStateAllocs covers the local-DRAM write path: a
+// small LLC makes every write miss evict a dirty victim, which the
+// hierarchy writes back through DRAMBackend.WriteLine. Once DRAM's pooled
+// access contexts are warm, fill plus writeback allocates nothing.
+func TestLocalWritebackSteadyStateAllocs(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.LLC.SizeBytes = 16 << 10
+	tb := NewTestbed(cfg)
+	h := tb.NewLocalHierarchy()
+	k := tb.Kernel()
+	done := func() {}
+	next := uint64(0)
+	write := func() {
+		h.Access(next*ocapi.CacheLineSize, ocapi.CacheLineSize, true, done)
+		next++
+		k.Run()
+	}
+	for i := 0; i < 1024; i++ {
+		write()
+	}
+	writebacks := h.Stats().Writebacks
+	if avg := testing.AllocsPerRun(200, write); avg != 0 {
+		t.Errorf("steady-state local writeback: %.2f allocs/op, want 0", avg)
+	}
+	if h.Stats().Writebacks == writebacks {
+		t.Fatal("measured region wrote back no dirty victims")
+	}
+}

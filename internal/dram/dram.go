@@ -111,7 +111,7 @@ func (c *accessCtx) Handle(stage uint64) {
 		c.tr.Enter(c.sp, obs.StageDRAMAccess)
 		d.k.AfterH(d.accessTime(), c, 1)
 	case 1: // device access done; occupy the data bus
-		c.ch.bus.ServeH(d.burstTime(c.bytes), c, 2)
+		c.ch.bus.Serve(d.burstTime(c.bytes), c, 2)
 	default: // burst complete
 		if c.write {
 			d.writes++
@@ -127,7 +127,9 @@ func (c *accessCtx) Handle(stage uint64) {
 		c.next = d.free
 		d.free = c
 		ch.slots.Release()
-		h.Handle(arg)
+		if h != nil {
+			h.Handle(arg)
+		}
 	}
 }
 
@@ -203,49 +205,14 @@ func (d *DRAM) accessTime() sim.Duration {
 	return sim.Duration(float64(d.cfg.AccessLatency) * d.slowdown)
 }
 
-// Access performs a memory request of the given size at addr and calls done
-// when the data has transferred. Concurrent requests to different channels
-// proceed in parallel; requests to one channel share its bus.
-func (d *DRAM) Access(addr uint64, bytes int, write bool, done func()) {
-	d.AccessSpan(addr, bytes, write, nil, 0, done)
-}
-
-// AccessSpan is Access with span tracing: the memory-controller queue wait
-// and the device access + bus burst are attributed to sp as separate
-// stages. tr may be nil and sp zero (untraced).
-func (d *DRAM) AccessSpan(addr uint64, bytes int, write bool, tr *obs.Tracer, sp obs.SpanID, done func()) {
-	if bytes <= 0 {
-		panic("dram: non-positive access size")
-	}
-	ch := d.channelFor(addr)
-	tr.Enter(sp, obs.StageDRAMQueue)
-	ch.slots.Acquire(func() {
-		tr.Enter(sp, obs.StageDRAMAccess)
-		// Device access latency, then bus occupancy.
-		d.k.After(d.accessTime(), func() {
-			ch.bus.Serve(d.burstTime(bytes), func() {
-				if write {
-					d.writes++
-				} else {
-					d.reads++
-				}
-				d.bytes += uint64(bytes)
-				if d.mx != nil {
-					d.mx.Access(write, uint64(bytes), d.Utilization())
-				}
-				ch.slots.Release()
-				if done != nil {
-					done()
-				}
-			})
-		})
-	})
-}
-
-// AccessSpanH is the closure-free analog of AccessSpan: h.Handle(arg)
-// fires at completion, and the request's whole channel traversal rides a
-// pooled context so steady-state accesses allocate nothing.
-func (d *DRAM) AccessSpanH(addr uint64, bytes int, write bool, tr *obs.Tracer, sp obs.SpanID, h sim.Handler, arg uint64) {
+// Access performs a memory request of the given size at addr and
+// schedules h.Handle(arg) (if h is non-nil) when the data has transferred.
+// Concurrent requests to different channels proceed in parallel; requests
+// to one channel share its bus. The memory-controller queue wait and the
+// device access + bus burst are attributed to sp as separate stages; tr
+// may be nil and sp zero (untraced). The request's whole channel traversal
+// rides a pooled context, so steady-state accesses allocate nothing.
+func (d *DRAM) Access(addr uint64, bytes int, write bool, tr *obs.Tracer, sp obs.SpanID, h sim.Handler, arg uint64) {
 	if bytes <= 0 {
 		panic("dram: non-positive access size")
 	}
@@ -259,17 +226,17 @@ func (d *DRAM) AccessSpanH(addr uint64, bytes int, write bool, tr *obs.Tracer, s
 		c.next = nil
 	}
 	c.ch, c.bytes, c.write, c.tr, c.sp, c.h, c.arg = ch, bytes, write, tr, sp, h, arg
-	ch.slots.AcquireH(c, 0)
+	ch.slots.Acquire(c, 0)
 }
 
-// ReadLine reads one cache line.
-func (d *DRAM) ReadLine(addr uint64, done func()) {
-	d.Access(addr, ocapi.CacheLineSize, false, done)
+// ReadLine reads one cache line, then runs h.Handle(arg) if h is non-nil.
+func (d *DRAM) ReadLine(addr uint64, h sim.Handler, arg uint64) {
+	d.Access(addr, ocapi.CacheLineSize, false, nil, 0, h, arg)
 }
 
-// WriteLine writes one cache line.
-func (d *DRAM) WriteLine(addr uint64, done func()) {
-	d.Access(addr, ocapi.CacheLineSize, true, done)
+// WriteLine writes one cache line, then runs h.Handle(arg) if h is non-nil.
+func (d *DRAM) WriteLine(addr uint64, h sim.Handler, arg uint64) {
+	d.Access(addr, ocapi.CacheLineSize, true, nil, 0, h, arg)
 }
 
 // Utilization returns the mean bus utilization across channels.

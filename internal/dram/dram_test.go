@@ -15,7 +15,7 @@ func TestSingleAccessLatency(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, testConfig())
 	var doneAt sim.Time
-	k.At(0, func() { d.ReadLine(0, func() { doneAt = k.Now() }) })
+	k.At(0, func() { d.ReadLine(0, sim.Func(func() { doneAt = k.Now() }), 0) })
 	k.Run()
 	// 100ns access + 128B at 1GB/s per channel = 128ns burst.
 	want := sim.Time(100*sim.Nanosecond + 128*sim.Nanosecond)
@@ -33,8 +33,8 @@ func TestChannelParallelism(t *testing.T) {
 	var times []sim.Time
 	k.At(0, func() {
 		// Lines 0 and 1 map to different channels.
-		d.ReadLine(0, func() { times = append(times, k.Now()) })
-		d.ReadLine(ocapi.CacheLineSize, func() { times = append(times, k.Now()) })
+		d.ReadLine(0, sim.Func(func() { times = append(times, k.Now()) }), 0)
+		d.ReadLine(ocapi.CacheLineSize, sim.Func(func() { times = append(times, k.Now()) }), 0)
 	})
 	k.Run()
 	if len(times) != 2 {
@@ -51,8 +51,8 @@ func TestSameChannelSerializesOnBus(t *testing.T) {
 	var times []sim.Time
 	k.At(0, func() {
 		// Lines 0 and 2 map to the same channel (2 channels, line%2).
-		d.ReadLine(0, func() { times = append(times, k.Now()) })
-		d.ReadLine(2*ocapi.CacheLineSize, func() { times = append(times, k.Now()) })
+		d.ReadLine(0, sim.Func(func() { times = append(times, k.Now()) }), 0)
+		d.ReadLine(2*ocapi.CacheLineSize, sim.Func(func() { times = append(times, k.Now()) }), 0)
 	})
 	k.Run()
 	if len(times) != 2 {
@@ -68,8 +68,8 @@ func TestWriteCounting(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, testConfig())
 	k.At(0, func() {
-		d.WriteLine(0, nil)
-		d.ReadLine(ocapi.CacheLineSize, nil)
+		d.WriteLine(0, nil, 0)
+		d.ReadLine(ocapi.CacheLineSize, nil, 0)
 	})
 	k.Run()
 	if d.Writes() != 1 || d.Reads() != 1 {
@@ -86,7 +86,7 @@ func TestQueueDepthBackpressure(t *testing.T) {
 	completed := 0
 	k.At(0, func() {
 		for i := 0; i < 10; i++ {
-			d.ReadLine(0, func() { completed++ })
+			d.ReadLine(0, sim.Func(func() { completed++ }), 0)
 		}
 	})
 	k.Run()
@@ -108,7 +108,7 @@ func TestSustainedBandwidth(t *testing.T) {
 	const n = 4000
 	k.At(0, func() {
 		for i := 0; i < n; i++ {
-			d.ReadLine(uint64(i)*ocapi.CacheLineSize, nil)
+			d.ReadLine(uint64(i)*ocapi.CacheLineSize, nil, 0)
 		}
 	})
 	end := k.Run()
@@ -135,12 +135,12 @@ func TestContentionHalvesPerFlowBandwidth(t *testing.T) {
 			for f := 0; f < flows; f++ {
 				f := f
 				for i := 0; i < perFlow; i++ {
-					d.ReadLine(uint64(i)*ocapi.CacheLineSize, func() {
+					d.ReadLine(uint64(i)*ocapi.CacheLineSize, sim.Func(func() {
 						done++
 						if f == 0 {
 							flowBytes += ocapi.CacheLineSize
 						}
-					})
+					}), 0)
 				}
 			}
 		})
@@ -186,5 +186,5 @@ func TestAccessSizePanics(t *testing.T) {
 			t.Error("zero-size access did not panic")
 		}
 	}()
-	d.Access(0, 0, false, nil)
+	d.Access(0, 0, false, nil, 0, nil, 0)
 }

@@ -13,7 +13,7 @@ func TestSlowdownInflatesServiceTime(t *testing.T) {
 	d := New(k, testConfig())
 	d.SetSlowdown(2)
 	var doneAt sim.Time
-	k.At(0, func() { d.ReadLine(0, func() { doneAt = k.Now() }) })
+	k.At(0, func() { d.ReadLine(0, sim.Func(func() { doneAt = k.Now() }), 0) })
 	k.Run()
 	// Nominal 100ns access + 128ns burst, both doubled.
 	want := sim.Time(2 * (100*sim.Nanosecond + 128*sim.Nanosecond))
@@ -32,7 +32,7 @@ func TestSlowdownRampAndRecovery(t *testing.T) {
 	issue := func(at sim.Time) {
 		k.At(at, func() {
 			start := k.Now()
-			d.ReadLine(0, func() { times = append(times, sim.Duration(k.Now()-start)) })
+			d.ReadLine(0, sim.Func(func() { times = append(times, sim.Duration(k.Now()-start)) }), 0)
 		})
 	}
 	issue(0)
@@ -63,7 +63,7 @@ func TestSlowdownBandwidthScales(t *testing.T) {
 		const n = 1000
 		k.At(0, func() {
 			for i := 0; i < n; i++ {
-				d.ReadLine(0, nil)
+				d.ReadLine(0, nil, 0)
 			}
 		})
 		end := k.Run()

@@ -96,6 +96,8 @@ type Switch struct {
 	kicks    []func()
 	waiting  [][]bool
 	attached []bool
+	// freeHops recycles the per-beat forwarding continuations.
+	freeHops *hop
 
 	// mx holds per-output-port metric bundles; mxDropped the switch-wide
 	// drop counter. Both nil when the metrics plane is disabled.
@@ -170,28 +172,52 @@ func (s *Switch) forwardLoop(port int, in *axis.FIFO, outs []*axis.FIFO) {
 				s.mxDropped.Inc()
 				continue
 			}
-			out := outs[dst]
-			if out.Space()-inflight[dst] <= 0 {
+			if outs[dst].Space()-inflight[dst] <= 0 {
 				s.waiting[dst][port] = true
 				return // head-of-line blocked; out's waker rekicks
 			}
 			b, _ := in.Pop()
 			inflight[dst]++
-			s.k.After(s.cfg.SwitchLatency, func() {
-				inflight[dst]--
-				s.forwarded++
-				out.Push(b)
-				if out.Len() > s.peakOcc[dst] {
-					s.peakOcc[dst] = out.Len()
-				}
-				if s.mx != nil {
-					s.mx[dst].Forwarded(out.Len(), s.peakOcc[dst])
-				}
-			})
+			h := s.freeHops
+			if h == nil {
+				h = &hop{s: s}
+			} else {
+				s.freeHops = h.next
+				h.next = nil
+			}
+			h.dst, h.b = dst, b
+			s.k.AfterH(s.cfg.SwitchLatency, h, 0)
 		}
 	}
 	s.kicks[port] = kick
 	in.OnData(kick)
+}
+
+// hop carries one beat through the switch latency to its output queue.
+// Hops are free-listed, so forwarding a beat allocates nothing once warm.
+type hop struct {
+	s    *Switch
+	dst  int
+	b    axis.Beat
+	next *hop
+}
+
+// Handle implements sim.Handler: the beat reaches its output queue.
+func (h *hop) Handle(uint64) {
+	s, dst, b := h.s, h.dst, h.b
+	h.b = axis.Beat{} // release the carried packet for GC
+	h.next = s.freeHops
+	s.freeHops = h
+	out := s.ports[dst].Out
+	s.outInflight[dst]--
+	s.forwarded++
+	out.Push(b)
+	if out.Len() > s.peakOcc[dst] {
+		s.peakOcc[dst] = out.Len()
+	}
+	if s.mx != nil {
+		s.mx[dst].Forwarded(out.Len(), s.peakOcc[dst])
+	}
 }
 
 // dstOf extracts the destination port from a beat's packet metadata. The

@@ -20,7 +20,7 @@ func TestDeadlineDeliveryBeatsExpiry(t *testing.T) {
 	var outcomes []bool
 	b.SetOutcomeObserver(func(ok bool) { outcomes = append(outcomes, ok) })
 	completions := 0
-	k.At(0, func() { b.ReadLine(0, func() { completions++ }) })
+	k.At(0, func() { b.ReadLine(0, 0, sim.Func(func() { completions++ }), 0) })
 	k.At(sim.Time(100*sim.Nanosecond), func() { b.Deliver(fs.sent[0].Response()) })
 	k.Run()
 	if completions != 1 {
@@ -45,7 +45,7 @@ func TestDeadlineExpiresInFlight(t *testing.T) {
 	b.SetOutcomeObserver(func(ok bool) { outcomes = append(outcomes, ok) })
 	completions := 0
 	var completedAt sim.Time
-	k.At(0, func() { b.ReadLine(0, func() { completions++; completedAt = k.Now() }) })
+	k.At(0, func() { b.ReadLine(0, 0, sim.Func(func() { completions++; completedAt = k.Now() }), 0) })
 	// The response arrives long after the deadline.
 	k.At(sim.Time(3*sim.Microsecond), func() { b.Deliver(fs.sent[0].Response()) })
 	k.Run()
@@ -78,7 +78,7 @@ func TestDeadlineExpiresQueuedSend(t *testing.T) {
 	fs := &fakeSender{space: 0} // NIC saturated: the command never leaves
 	b := deadlineBackend(k, fs, sim.Microsecond)
 	completions := 0
-	k.At(0, func() { b.ReadLine(0, func() { completions++ }) })
+	k.At(0, func() { b.ReadLine(0, 0, sim.Func(func() { completions++ }), 0) })
 	k.Run()
 	if completions != 1 {
 		t.Fatalf("completions = %d", completions)
@@ -106,7 +106,7 @@ func TestDeadlineExpiresMidPortHop(t *testing.T) {
 	b := NewRemoteBackend(k, fs, 4, 10*sim.Nanosecond, 0, 1)
 	b.SetDeadline(5 * sim.Nanosecond)
 	completions := 0
-	k.At(0, func() { b.ReadLine(0, func() { completions++ }) })
+	k.At(0, func() { b.ReadLine(0, 0, sim.Func(func() { completions++ }), 0) })
 	k.Run()
 	if completions != 1 || b.ExpiredUnsent() != 1 {
 		t.Fatalf("completions=%d unsent=%d", completions, b.ExpiredUnsent())
@@ -122,7 +122,7 @@ func TestDeadlineNackStillCountsOneOutcome(t *testing.T) {
 	b := deadlineBackend(k, fs, sim.Microsecond)
 	var outcomes []bool
 	b.SetOutcomeObserver(func(ok bool) { outcomes = append(outcomes, ok) })
-	k.At(0, func() { b.ReadLine(0, func() {}) })
+	k.At(0, func() { b.ReadLine(0, 0, sim.Func(func() {}), 0) })
 	k.At(sim.Time(100*sim.Nanosecond), func() {
 		p := fs.sent[0]
 		p.NackInPlace()
@@ -145,7 +145,7 @@ func TestDeadlinePooledTimersRecycle(t *testing.T) {
 	// timers must never expire a successor.
 	for round := 0; round < 5; round++ {
 		completions := 0
-		k.At(k.Now(), func() { b.ReadLine(0, func() { completions++ }) })
+		k.At(k.Now(), func() { b.ReadLine(0, 0, sim.Func(func() { completions++ }), 0) })
 		k.Post(func() {
 			k.After(100*sim.Nanosecond, func() { b.Deliver(fs.sent[len(fs.sent)-1].Response()) })
 		})
@@ -179,7 +179,7 @@ func TestDeadlineZeroKeepsLegacyPath(t *testing.T) {
 	fs := &fakeSender{space: 10}
 	b := NewRemoteBackend(k, fs, 4, 10*sim.Nanosecond, 0, 1)
 	completions := 0
-	k.At(0, func() { b.ReadLine(0, func() { completions++ }) })
+	k.At(0, func() { b.ReadLine(0, 0, sim.Func(func() { completions++ }), 0) })
 	k.At(sim.Time(50*sim.Microsecond), func() { b.Deliver(fs.sent[0].Response()) })
 	k.Run()
 	if completions != 1 || b.Expired() != 0 || b.Poisoned() != 0 {

@@ -5,6 +5,7 @@ import (
 
 	"thymesim/internal/cache"
 	"thymesim/internal/dram"
+	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
@@ -23,7 +24,7 @@ type fakeBackend struct {
 	out     int
 }
 
-func (f *fakeBackend) ReadLine(addr uint64, done func()) {
+func (f *fakeBackend) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
 	f.reads++
 	f.out++
 	if f.out > f.maxOut {
@@ -31,17 +32,17 @@ func (f *fakeBackend) ReadLine(addr uint64, done func()) {
 	}
 	f.k.After(f.latency, func() {
 		f.out--
-		if done != nil {
-			done()
+		if h != nil {
+			h.Handle(arg)
 		}
 	})
 }
 
-func (f *fakeBackend) WriteLine(addr uint64, done func()) {
+func (f *fakeBackend) WriteLine(addr uint64, h sim.Handler, arg uint64) {
 	f.writes++
 	f.k.After(f.latency, func() {
-		if done != nil {
-			done()
+		if h != nil {
+			h.Handle(arg)
 		}
 	})
 }
@@ -157,8 +158,8 @@ func TestDRAMBackend(t *testing.T) {
 	b := NewDRAMBackend(mem)
 	var reads, writes int
 	k.At(0, func() {
-		b.ReadLine(0, func() { reads++ })
-		b.WriteLine(128, func() { writes++ })
+		b.ReadLine(0, 0, sim.Func(func() { reads++ }), 0)
+		b.WriteLine(128, sim.Func(func() { writes++ }), 0)
 	})
 	k.Run()
 	if reads != 1 || writes != 1 {
@@ -201,7 +202,7 @@ func TestRemoteBackendTagFlowAndDelivery(t *testing.T) {
 	completions := 0
 	k.At(0, func() {
 		for i := 0; i < 6; i++ {
-			b.ReadLine(uint64(i)*128, func() { completions++ })
+			b.ReadLine(uint64(i)*128, 0, sim.Func(func() { completions++ }), 0)
 		}
 	})
 	k.RunUntil(sim.Time(sim.Microsecond))
@@ -231,8 +232,8 @@ func TestRemoteBackendRetriesOnNICSpace(t *testing.T) {
 	fs := &fakeSender{space: 1}
 	b := NewRemoteBackend(k, fs, 8, 0, 0, 1)
 	k.At(0, func() {
-		b.ReadLine(0, nil)
-		b.ReadLine(128, nil)
+		b.ReadLine(0, 0, nil, 0)
+		b.ReadLine(128, 0, nil, 0)
 	})
 	k.Run()
 	if len(fs.sent) != 1 {
@@ -260,7 +261,7 @@ func TestRemoteBackendAddressAlignment(t *testing.T) {
 	k := sim.NewKernel()
 	fs := &fakeSender{space: 10}
 	b := NewRemoteBackend(k, fs, 8, 0, 3, 9)
-	k.At(0, func() { b.ReadLine(1000, nil) })
+	k.At(0, func() { b.ReadLine(1000, 0, nil, 0) })
 	k.Run()
 	if len(fs.sent) != 1 {
 		t.Fatal("not sent")

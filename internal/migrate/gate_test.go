@@ -1,6 +1,10 @@
 package migrate
 
-import "testing"
+import (
+	"testing"
+
+	"thymesim/internal/sim"
+)
 
 // boolGate is a settable remote-admission gate.
 type boolGate struct {
@@ -16,9 +20,9 @@ func TestGateDeniedLocalizesNewPages(t *testing.T) {
 	m.SetRemoteGate(gate)
 	done := 0
 	k.At(0, func() {
-		m.ReadLine(0, func() { done++ })
-		m.ReadLine(64, func() { done++ })    // same page, already localized
-		m.WriteLine(1024, func() { done++ }) // second page
+		m.ReadLine(0, 0, sim.Func(func() { done++ }), 0)
+		m.ReadLine(64, 0, sim.Func(func() { done++ }), 0) // same page, already localized
+		m.WriteLine(1024, sim.Func(func() { done++ }), 0) // second page
 	})
 	k.Run()
 	if done != 3 {
@@ -49,7 +53,7 @@ func TestGateAllowedKeepsRemotePath(t *testing.T) {
 	gate := &boolGate{allow: true}
 	m.SetRemoteGate(gate)
 	done := 0
-	k.At(0, func() { m.ReadLine(0, func() { done++ }) })
+	k.At(0, func() { m.ReadLine(0, 0, sim.Func(func() { done++ }), 0) })
 	k.Run()
 	if done != 1 || remote.reads != 1 || local.reads != 0 {
 		t.Fatalf("done=%d remote=%d local=%d", done, remote.reads, local.reads)
@@ -67,15 +71,15 @@ func TestGateReopenRestoresRemote(t *testing.T) {
 	gate := &boolGate{allow: false}
 	m.SetRemoteGate(gate)
 	done := 0
-	k.At(0, func() { m.ReadLine(0, func() { done++ }) })
+	k.At(0, func() { m.ReadLine(0, 0, sim.Func(func() { done++ }), 0) })
 	k.Run()
 	if local.reads != 1 {
 		t.Fatalf("local reads = %d", local.reads)
 	}
 	gate.allow = true
 	k.Post(func() {
-		m.ReadLine(64, func() { done++ })   // page localized while open: stays local
-		m.ReadLine(1024, func() { done++ }) // new page: remote again
+		m.ReadLine(64, 0, sim.Func(func() { done++ }), 0)   // page localized while open: stays local
+		m.ReadLine(1024, 0, sim.Func(func() { done++ }), 0) // new page: remote again
 	})
 	k.Run()
 	if done != 3 {
@@ -99,7 +103,7 @@ func TestDegradePrecedesGate(t *testing.T) {
 	done := 0
 	k.At(0, func() {
 		m.Degrade()
-		m.ReadLine(0, func() { done++ })
+		m.ReadLine(0, 0, sim.Func(func() { done++ }), 0)
 	})
 	k.Run()
 	if done != 1 || remote.reads != 0 {
@@ -124,7 +128,7 @@ func TestGatePromotedPageUnaffected(t *testing.T) {
 	k.At(0, func() {
 		// HotThreshold=4 touches promote the page.
 		for i := 0; i < 5; i++ {
-			m.ReadLine(0, func() { done++ })
+			m.ReadLine(0, 0, sim.Func(func() { done++ }), 0)
 		}
 	})
 	k.Run()
@@ -134,7 +138,7 @@ func TestGatePromotedPageUnaffected(t *testing.T) {
 	gate.allow = false
 	before := remote.reads + remote.writes
 	localBefore := local.reads
-	k.Post(func() { m.ReadLine(64, func() { done++ }) })
+	k.Post(func() { m.ReadLine(64, 0, sim.Func(func() { done++ }), 0) })
 	k.Run()
 	if remote.reads+remote.writes != before {
 		t.Fatal("promoted page went remote under a closed gate")

@@ -17,6 +17,7 @@ import (
 
 	"thymesim/internal/memport"
 	"thymesim/internal/metricsplane"
+	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
@@ -211,12 +212,20 @@ func (m *Migrator) state(addr uint64) *pageState {
 }
 
 // ReadLine implements memport.LineBackend.
-func (m *Migrator) ReadLine(addr uint64, done func()) { m.access(addr, false, done) }
+func (m *Migrator) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
+	be, a := m.route(addr)
+	be.ReadLine(a, sp, h, arg)
+}
 
 // WriteLine implements memport.LineBackend.
-func (m *Migrator) WriteLine(addr uint64, done func()) { m.access(addr, true, done) }
+func (m *Migrator) WriteLine(addr uint64, h sim.Handler, arg uint64) {
+	be, a := m.route(addr)
+	be.WriteLine(a, h, arg)
+}
 
-func (m *Migrator) access(addr uint64, write bool, done func()) {
+// route accounts one line access and returns the backend and address that
+// serve it, starting a promotion when the access makes its page hot.
+func (m *Migrator) route(addr uint64) (memport.LineBackend, uint64) {
 	st := m.state(addr)
 	if !st.local {
 		if m.degraded || m.rangeDegraded(addr) {
@@ -232,24 +241,14 @@ func (m *Migrator) access(addr uint64, write bool, done func()) {
 	if st.local {
 		m.stats.LocalAccesses++
 		m.mx.Localized()
-		local := st.frame + (addr & uint64(m.cfg.PageBytes-1))
-		if write {
-			m.local.WriteLine(local, done)
-		} else {
-			m.local.ReadLine(local, done)
-		}
-		return
+		return m.local, st.frame + (addr & uint64(m.cfg.PageBytes-1))
 	}
 	m.stats.RemoteAccesses++
 	st.touches++
 	if !st.migrating && st.touches >= m.cfg.HotThreshold {
 		m.promote(m.pageOf(addr), st)
 	}
-	if write {
-		m.remote.WriteLine(addr, done)
-	} else {
-		m.remote.ReadLine(addr, done)
-	}
+	return m.remote, addr
 }
 
 // promote copies the page to a local frame, then flips residency. The copy
@@ -278,13 +277,13 @@ func (m *Migrator) promote(pg uint64, st *pageState) {
 		}
 		off := uint64(next * ocapi.CacheLineSize)
 		next++
-		m.remote.ReadLine(pg+off, func() {
+		m.remote.ReadLine(pg+off, 0, sim.Func(func() {
 			m.stats.CopiedLines++
-			m.local.WriteLine(frame+off, func() {
+			m.local.WriteLine(frame+off, sim.Func(func() {
 				wg.Done()
 				launch()
-			})
-		})
+			}), 0)
+		}), 0)
 	}
 	for i := 0; i < copyWindow && i < lines; i++ {
 		launch()

@@ -3,6 +3,7 @@ package migrate
 import (
 	"testing"
 
+	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
@@ -16,22 +17,23 @@ type countBackend struct {
 	addrs   []uint64
 }
 
-func (f *countBackend) ReadLine(addr uint64, done func()) {
+func (f *countBackend) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
 	f.reads++
-	f.addrs = append(f.addrs, addr)
-	f.k.After(f.latency, func() {
-		if done != nil {
-			done()
-		}
-	})
+	f.complete(addr, h, arg)
 }
 
-func (f *countBackend) WriteLine(addr uint64, done func()) {
+func (f *countBackend) WriteLine(addr uint64, h sim.Handler, arg uint64) {
 	f.writes++
+	f.complete(addr, h, arg)
+}
+
+// complete records addr and runs h.Handle(arg), if h is set, after the
+// backend's latency.
+func (f *countBackend) complete(addr uint64, h sim.Handler, arg uint64) {
 	f.addrs = append(f.addrs, addr)
 	f.k.After(f.latency, func() {
-		if done != nil {
-			done()
+		if h != nil {
+			h.Handle(arg)
 		}
 	})
 }
@@ -56,8 +58,8 @@ func TestColdAccessesGoRemote(t *testing.T) {
 	k, m, remote, local := setup()
 	done := 0
 	k.At(0, func() {
-		m.ReadLine(0, func() { done++ })
-		m.WriteLine(128, func() { done++ })
+		m.ReadLine(0, 0, sim.Func(func() { done++ }), 0)
+		m.WriteLine(128, sim.Func(func() { done++ }), 0)
 	})
 	k.Run()
 	if done != 2 || remote.reads != 1 || remote.writes != 1 || local.reads+local.writes != 0 {
@@ -76,7 +78,7 @@ func TestHotPagePromotes(t *testing.T) {
 			if i == 4 {
 				return
 			}
-			m.ReadLine(uint64(i)*128, func() { touch(i + 1) })
+			m.ReadLine(uint64(i)*128, 0, sim.Func(func() { touch(i + 1) }), 0)
 		}
 		touch(0)
 	})
@@ -97,7 +99,7 @@ func TestHotPagePromotes(t *testing.T) {
 	}
 	// Post-promotion accesses are local, at the remapped frame.
 	before := local.reads
-	k.At(k.Now(), func() { m.ReadLine(256, nil) })
+	k.At(k.Now(), func() { m.ReadLine(256, 0, nil, 0) })
 	k.Run()
 	if local.reads != before+1 {
 		t.Fatal("post-promotion access not local")
@@ -115,11 +117,11 @@ func TestMidMigrationAccessesStayRemote(t *testing.T) {
 	k, m, remote, _ := setup()
 	k.At(0, func() {
 		for i := 0; i < 4; i++ {
-			m.ReadLine(uint64(i)*128, nil) // trips the threshold, starts copy
+			m.ReadLine(uint64(i)*128, 0, nil, 0) // trips the threshold, starts copy
 		}
 	})
 	// Immediately access again while the copy (1us per line) is running.
-	k.At(sim.Time(100), func() { m.ReadLine(0, nil) })
+	k.At(sim.Time(100), func() { m.ReadLine(0, 0, nil, 0) })
 	k.RunUntil(sim.Time(200))
 	if got := remote.reads; got < 5 {
 		t.Fatalf("mid-migration access not remote: remote reads = %d", got)
@@ -136,7 +138,7 @@ func TestFrameBudgetRejects(t *testing.T) {
 		for pg := 0; pg < 3; pg++ {
 			base := uint64(pg) * 1024
 			for i := 0; i < 4; i++ {
-				m.ReadLine(base+uint64(i)*128, nil)
+				m.ReadLine(base+uint64(i)*128, 0, nil, 0)
 			}
 		}
 	})
@@ -155,7 +157,7 @@ func TestDistinctFramesPerPage(t *testing.T) {
 		for pg := 0; pg < 2; pg++ {
 			base := uint64(pg) * 1024
 			for i := 0; i < 4; i++ {
-				m.ReadLine(base+uint64(i)*128, nil)
+				m.ReadLine(base+uint64(i)*128, 0, nil, 0)
 			}
 		}
 	})
@@ -201,9 +203,9 @@ func TestDegradeLocalizesNewPages(t *testing.T) {
 		}
 		// Two pages, never seen before: both must be served locally with
 		// zero remote traffic and zero copy traffic.
-		m.ReadLine(0, func() { done++ })
-		m.WriteLine(1024, func() { done++ })
-		m.ReadLine(64, func() { done++ }) // same page as the first
+		m.ReadLine(0, 0, sim.Func(func() { done++ }), 0)
+		m.WriteLine(1024, sim.Func(func() { done++ }), 0)
+		m.ReadLine(64, 0, sim.Func(func() { done++ }), 0) // same page as the first
 	})
 	k.Run()
 	if done != 3 {
@@ -231,7 +233,7 @@ func TestDegradeExceedsFrameBudget(t *testing.T) {
 	k.At(0, func() {
 		m.Degrade()
 		for i := 0; i < 4; i++ {
-			m.ReadLine(uint64(i)*1024, func() { done++ })
+			m.ReadLine(uint64(i)*1024, 0, sim.Func(func() { done++ }), 0)
 		}
 	})
 	k.Run()
@@ -249,10 +251,10 @@ func TestDegradePreservesPromotedPages(t *testing.T) {
 			if i == 16 {
 				m.Degrade()
 				// Subsequent accesses stay on the promoted frame.
-				m.ReadLine(0, nil)
+				m.ReadLine(0, 0, nil, 0)
 				return
 			}
-			m.ReadLine(uint64(i%8)*128, func() { touch(i + 1) })
+			m.ReadLine(uint64(i%8)*128, 0, sim.Func(func() { touch(i + 1) }), 0)
 		}
 		touch(0)
 	})
@@ -279,10 +281,10 @@ func TestDegradeMidMigrationDoesNotDoubleAssign(t *testing.T) {
 		touch = func(i int) {
 			if i == 4 {
 				m.Degrade()
-				m.ReadLine(0, nil) // localizes while the copy is in flight
+				m.ReadLine(0, 0, nil, 0) // localizes while the copy is in flight
 				return
 			}
-			m.ReadLine(uint64(i)*128, func() { touch(i + 1) })
+			m.ReadLine(uint64(i)*128, 0, sim.Func(func() { touch(i + 1) }), 0)
 		}
 		touch(0)
 	})
@@ -307,9 +309,9 @@ func TestDegradeRangeLocalizesOnlyThatRange(t *testing.T) {
 	const pageB = uint64(0x20000) // stays healthy
 	m.DegradeRange(pageA, 1024)
 	k.At(0, func() {
-		m.ReadLine(pageA, nil)
-		m.ReadLine(pageA+ocapi.CacheLineSize, nil)
-		m.ReadLine(pageB, nil)
+		m.ReadLine(pageA, 0, nil, 0)
+		m.ReadLine(pageA+ocapi.CacheLineSize, 0, nil, 0)
+		m.ReadLine(pageB, 0, nil, 0)
 	})
 	k.Run()
 	if remote.reads != 1 {
@@ -338,9 +340,9 @@ func TestDegradeRangeWidensToPages(t *testing.T) {
 	// one byte of page 0x10400.
 	m.DegradeRange(0x10000+1024-ocapi.CacheLineSize, ocapi.CacheLineSize+1)
 	k.At(0, func() {
-		m.ReadLine(0x10000, nil) // head of first touched page: localized
-		m.ReadLine(0x10400, nil) // second touched page: localized
-		m.ReadLine(0x10800, nil) // past the widened range: remote
+		m.ReadLine(0x10000, 0, nil, 0) // head of first touched page: localized
+		m.ReadLine(0x10400, 0, nil, 0) // second touched page: localized
+		m.ReadLine(0x10800, 0, nil, 0) // past the widened range: remote
 	})
 	k.Run()
 	if local.reads != 2 || remote.reads != 1 {

@@ -126,7 +126,7 @@ func (c *CrossChannel) kick() {
 	c.armed = true
 	c.credits--
 	c.pending = b
-	c.wire.ServeH(c.SerializationTime(b.Bytes), c, xSerEnd)
+	c.wire.Serve(c.SerializationTime(b.Bytes), c, xSerEnd)
 }
 
 // onRxSpace runs on the destination shard whenever the receiver drains a

@@ -136,7 +136,7 @@ func (c *Channel) kick() {
 		f.next = nil
 	}
 	f.b = b
-	c.wire.ServeH(ser, f, 0)
+	c.wire.Serve(ser, f, 0)
 }
 
 // Link is a full-duplex point-to-point cable: direction A→B and B→A.

@@ -42,6 +42,48 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 	k.Run()
 }
 
+// selfTick is a handler that reschedules itself n times, d apart.
+type selfTick struct {
+	k    *Kernel
+	d    Duration
+	n, i int
+}
+
+func (t *selfTick) Handle(uint64) {
+	t.i++
+	if t.i < t.n {
+		t.k.AfterH(t.d, t, 0)
+	}
+}
+
+// BenchmarkKernelHandlerThroughput is BenchmarkKernelEventThroughput on
+// the handler path the datapath schedules through (AfterH on a
+// pre-existing object): the bulk of every simulation's events.
+func BenchmarkKernelHandlerThroughput(b *testing.B) {
+	k := NewKernel()
+	t := &selfTick{k: k, d: Nanosecond, n: b.N}
+	k.AfterH(Nanosecond, t, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkKernelHandlerHeapChurn is BenchmarkKernelHeapChurn on the
+// handler path: AtH scheduling with 1024 events pending.
+func BenchmarkKernelHandlerHeapChurn(b *testing.B) {
+	k := NewKernel()
+	const depth = 1024
+	idle := &benchSink{}
+	for i := 0; i < depth; i++ {
+		k.AtH(Time(1_000_000+i), idle, 0)
+	}
+	t := &selfTick{k: k, d: 1, n: b.N}
+	k.AtH(0, t, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
 // BenchmarkCreditPoolCycle measures acquire/release round trips.
 func BenchmarkCreditPoolCycle(b *testing.B) {
 	k := NewKernel()

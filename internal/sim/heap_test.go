@@ -5,17 +5,18 @@ import (
 	"testing"
 )
 
-// mirror is a sort-based reference priority queue with the kernel's
-// (at, seq) contract, used to cross-check the 4-ary heap.
-type mirror []event
+// mirror is a linear-scan reference priority queue with the kernel's
+// (at, seq) contract, used to cross-check the 4-ary heap and its merge with
+// the immediate ring.
+type mirror []hEvent
 
-func (m *mirror) add(e event) { *m = append(*m, e) }
+func (m *mirror) add(e hEvent) { *m = append(*m, e) }
 
 // min returns the index of the minimum pending event by (at, seq).
 func (m mirror) min() int {
 	best := 0
 	for i := 1; i < len(m); i++ {
-		if m[i].before(m[best]) {
+		if m[i].at < m[best].at || (m[i].at == m[best].at && m[i].seq < m[best].seq) {
 			best = i
 		}
 	}
@@ -63,7 +64,7 @@ func TestHeapMatchesReference(t *testing.T) {
 					schedule()
 				}
 			}
-			ref.add(event{at: at, seq: seq})
+			ref.add(hEvent{at: at, seq: seq})
 			k.At(at, fn)
 		}
 		for i := 0; i < 32; i++ {
@@ -83,18 +84,18 @@ func TestHeapMatchesReference(t *testing.T) {
 // compares against a stable sort.
 func TestHeapPushPopSortedOrder(t *testing.T) {
 	rng := NewRand(7)
-	var h eventHeap
-	var want []event
+	var h hEventHeap
+	var want []hEvent
 	for i := 0; i < 2000; i++ {
-		e := event{at: Time(rng.Intn(100)), seq: uint64(i)}
-		h.push(e)
+		e := hEvent{at: Time(rng.Intn(100)), seq: uint64(i), arg: uint64(i)}
+		h.push(e.at, e.seq, nil, e.arg)
 		want = append(want, e)
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 	for i, w := range want {
-		got := h.pop()
-		if got.at != w.at || got.seq != w.seq {
-			t.Fatalf("pop %d = (at=%v seq=%d), want (at=%v seq=%d)", i, got.at, got.seq, w.at, w.seq)
+		at, _, arg := h.pop()
+		if at != w.at || arg != w.arg {
+			t.Fatalf("pop %d = (at=%v seq=%d), want (at=%v seq=%d)", i, at, arg, w.at, w.arg)
 		}
 	}
 	if len(h) != 0 {
@@ -102,56 +103,77 @@ func TestHeapPushPopSortedOrder(t *testing.T) {
 	}
 }
 
-// handlerProbe records dispatch order for TestDualHeapMergeOrder.
-type handlerProbe struct {
-	order *[]uint64
-}
+// mergeProbe dispatches TestEventMergeOrder's handler events.
+type mergeProbe struct{ fire func(id uint64) }
 
-func (p *handlerProbe) Handle(arg uint64) { *p.order = append(*p.order, arg) }
+func (p *mergeProbe) Handle(id uint64) { p.fire(id) }
 
-// TestDualHeapMergeOrder pins the merge contract between the closure heap
-// and the handler heap: events interleave strictly by (at, seq) no matter
-// which heap holds them, including closures and handlers at equal instants.
-func TestDualHeapMergeOrder(t *testing.T) {
+// TestEventMergeOrder pins the one-heap merge contract: At closures, AtH
+// handlers, AtHFront front-band events and immediate-ring events (anything
+// scheduled at the current instant) interleave strictly by (at, seq),
+// including events scheduled from inside running callbacks. Every dispatch
+// must be the minimum of a linear-scan reference that assigns seq the way
+// the kernel documents: one normal-band counter shared by At and AtH, and
+// a separate front band below it.
+func TestEventMergeOrder(t *testing.T) {
 	rng := NewRand(11)
 	k := NewKernel()
-	var order []uint64
-	probe := &handlerProbe{order: &order}
-	const total = 500
-	want := make([]uint64, 0, total)
-	type sched struct {
-		at  Time
-		id  uint64
-		use bool // handler heap
-	}
-	var plan []sched
-	for i := 0; i < total; i++ {
-		plan = append(plan, sched{at: Time(rng.Intn(40)), id: uint64(i), use: rng.Intn(2) == 0})
-	}
-	// The kernel assigns seq in scheduling order, so a stable sort by time
-	// of the plan is the required dispatch order.
-	for _, s := range plan {
-		if s.use {
-			k.AtH(s.at, probe, s.id)
-		} else {
-			id := s.id
-			k.At(s.at, func() { order = append(order, id) })
+	var ref mirror
+	const total = 3000
+	scheduled, dispatched := 0, 0
+	var kinds [4]int // closure, handler, front, ring
+	probe := &mergeProbe{}
+	var schedule func()
+	probe.fire = func(id uint64) {
+		i := ref.min()
+		if ref[i].arg != id {
+			t.Fatalf("dispatch %d: event %d at %v, reference min is event %d at %v",
+				dispatched, id, k.Now(), ref[i].arg, ref[i].at)
+		}
+		ref.remove(i)
+		dispatched++
+		for n := rng.Intn(3); n > 0; n-- {
+			schedule()
 		}
 	}
-	for at := Time(0); at < 40; at++ {
-		for _, s := range plan {
-			if s.at == at {
-				want = append(want, s.id)
+	schedule = func() {
+		if scheduled >= total {
+			return
+		}
+		id := uint64(scheduled)
+		scheduled++
+		at := k.Now()
+		if rng.Intn(3) != 0 {
+			at = at.Add(Duration(rng.Intn(40)))
+		}
+		switch kind := rng.Intn(3); kind {
+		case 0, 1:
+			ref.add(hEvent{at: at, seq: k.seq + 1, arg: id})
+			if kind == 0 {
+				k.At(at, func() { probe.fire(id) })
+			} else {
+				k.AtH(at, probe, id)
 			}
+			if at == k.Now() {
+				kind = 3 // joins the immediate ring
+			}
+			kinds[kind]++
+		default:
+			ref.add(hEvent{at: at, seq: k.frontSeq + 1, arg: id})
+			k.AtHFront(at, probe, id)
+			kinds[2]++
 		}
+	}
+	for i := 0; i < 64; i++ {
+		schedule()
 	}
 	k.Run()
-	if len(order) != len(want) {
-		t.Fatalf("dispatched %d events, want %d", len(order), len(want))
+	if dispatched != scheduled || len(ref) != 0 {
+		t.Fatalf("dispatched %d of %d events, %d left in the reference", dispatched, scheduled, len(ref))
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch %d = event %d, want %d", i, order[i], want[i])
+	for i, n := range kinds {
+		if n == 0 {
+			t.Fatalf("event kind %d never exercised: %v", i, kinds)
 		}
 	}
 }

@@ -4,42 +4,33 @@ import (
 	"fmt"
 )
 
-// Handler is the closure-free event callee: components that schedule on
-// every packet hop implement Handle and are dispatched with AtH/AfterH/
-// PostH. Scheduling a method value (k.At(t, p.fire)) or a capturing func
-// literal heap-allocates a closure per event; converting an existing
-// object to a Handler interface value does not, so the steady-state
-// datapath can schedule without touching the allocator. arg is an opaque
-// payload handed back at dispatch — callees that need more context than
-// one word carry it in the handler object itself (typically a free-listed
-// continuation struct reused across dispatches).
+// Handler is the kernel's one event callee: every scheduled event —
+// datapath hop, timer, or driver callback — is a Handler dispatched as
+// h.Handle(arg). Components that schedule on every packet hop implement
+// Handle on a pre-existing (typically free-listed) object, so steady-state
+// scheduling touches no allocator; arg is an opaque payload handed back at
+// dispatch, and callees that need more context than one word carry it in
+// the handler object itself.
 type Handler interface {
 	Handle(arg uint64)
 }
 
-// An event is a func() closure scheduled at an instant. seq breaks ties so
-// that events at equal timestamps run in scheduling order.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
+// Func adapts an ordinary func() to Handler, ignoring arg. A func value is
+// pointer-shaped, so converting one to a Handler allocates nothing beyond
+// whatever the func literal itself captured.
+type Func func()
 
-// before is the dispatch order: earliest instant first, scheduling order
-// within an instant.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
+// Handle implements Handler.
+func (f Func) Handle(uint64) { f() }
 
-// An hEvent is a Handler/arg pair scheduled at an instant — the
-// closure-free twin of event, kept as a separate element type (and heap)
-// so that adding the handler fields does not widen every closure event:
-// sift cost is proportional to element size and pointer-field count
-// (write barriers), and the closure heap carries the bulk of the
-// kernel-microbenchmark load.
+// An hEvent is a handler event scheduled at an instant; seq breaks ties so
+// that events at equal timestamps run in scheduling order. At five words it
+// is one word past what Go passes and copies in registers, so the heap
+// never holds a whole element in a local: push takes the fields as
+// scalars, the sifts compare keys and move fields in place, and pop
+// returns scalars. A whole-element copy would also go through a
+// typedmemmove call whenever the GC's write barrier is on, forcing every
+// argument to be spilled to the stack on entry.
 type hEvent struct {
 	at  Time
 	seq uint64
@@ -47,109 +38,52 @@ type hEvent struct {
 	h   Handler
 }
 
-func (e hEvent) before(o hEvent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). It is
-// monomorphic on purpose — hand-specialized per element type rather than
-// written once with generics, because Go's gcshape stenciling turns the
-// per-sift before() calls into dictionary-indirect calls, and no
-// container/heap because interface funneling would box one event per
-// scheduled callback, which at the simulator's event rates dominates the
-// allocation profile. Storing events by value in a flat slice makes the
-// schedule path allocation-free beyond slice growth, and the 4-ary shape
-// halves the tree depth versus binary, trading a wider (cache-line-friendly)
-// sibling scan for fewer levels per sift. hEventHeap below mirrors this
-// code for handler events; keep the two in sync.
-type eventHeap []event
-
-// push inserts e, sifting it up from the tail.
-func (h *eventHeap) push(e event) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !e.before(q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
-	*h = q
-}
-
-// pop removes and returns the minimum. It must not be called on an empty
-// heap.
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{} // release the callback for GC
-	q = q[:n]
-	if n > 0 {
-		// Sift last down from the root, moving the hole instead of swapping.
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		q[i] = last
-	}
-	*h = q
-	return top
-}
-
-// hEventHeap is the handler-event twin of eventHeap (same 4-ary layout and
-// hole-based sift); see the comment there for why the code is duplicated
-// rather than shared.
+// hEventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). No
+// container/heap, because interface funneling would box one event per
+// schedule; events live by value in a flat slice, so scheduling is
+// allocation-free beyond slice growth. The 4-ary shape halves the tree
+// depth versus binary, trading a wider (cache-line-friendly) sibling scan
+// for fewer levels per sift, and both sifts move a hole instead of
+// swapping.
 type hEventHeap []hEvent
 
-func (h *hEventHeap) push(e hEvent) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !e.before(q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
-	*h = q
+// move copies q[src] into q[dst] field by field.
+func (q hEventHeap) move(dst, src int) {
+	d, e := &q[dst], &q[src]
+	d.at, d.seq, d.arg, d.h = e.at, e.seq, e.arg, e.h
 }
 
-func (h *hEventHeap) pop() hEvent {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = hEvent{} // release the handler for GC
-	q = q[:n]
+// push inserts the event (at, seq, h, arg), sifting it up from the tail.
+func (q *hEventHeap) push(at Time, seq uint64, h Handler, arg uint64) {
+	s := *q
+	if len(s) == cap(s) {
+		s = append(s, hEvent{})[:len(s)]
+	}
+	s = s[:len(s)+1]
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if at > s[p].at || (at == s[p].at && seq >= s[p].seq) {
+			break
+		}
+		s.move(i, p)
+		i = p
+	}
+	e := &s[i]
+	e.at, e.seq, e.arg, e.h = at, seq, arg, h
+	*q = s
+}
+
+// pop removes the minimum and returns its instant, handler and arg. It
+// must not be called on an empty heap.
+func (q *hEventHeap) pop() (Time, Handler, uint64) {
+	s := *q
+	at, h, arg := s[0].at, s[0].h, s[0].arg
+	n := len(s) - 1
 	if n > 0 {
+		// Sift the tail element down from the root, keeping its key and
+		// the running minimum child's key in registers.
+		lat, lseq := s[n].at, s[n].seq
 		i := 0
 		for {
 			c := i<<2 + 1
@@ -160,42 +94,41 @@ func (h *hEventHeap) pop() hEvent {
 			if end > n {
 				end = n
 			}
-			m := c
+			m, mat, mseq := c, s[c].at, s[c].seq
 			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
+				if a := s[j].at; a < mat || (a == mat && s[j].seq < mseq) {
+					m, mat, mseq = j, a, s[j].seq
 				}
 			}
-			if !q[m].before(last) {
+			if mat > lat || (mat == lat && mseq >= lseq) {
 				break
 			}
-			q[i] = q[m]
+			s.move(i, m)
 			i = m
 		}
-		q[i] = last
+		s.move(i, n)
 	}
-	*h = q
-	return top
+	s[n].h = nil // release the handler for GC
+	*q = s[:n]
+	return at, h, arg
+}
+
+// A ringEvent is an event scheduled at the kernel's current instant,
+// queued in the immediate ring instead of the heap: a key equal to the
+// running minimum would sift past every future event, so same-instant
+// scheduling — the datapath's kick/Post chains — would pay the full heap
+// depth. The ring appends in seq order (seq is monotonic), making it a
+// FIFO that the dispatcher merges with the heap top by (at, seq).
+type ringEvent struct {
+	seq uint64
+	arg uint64
+	h   Handler
 }
 
 // Kernel is a single-threaded discrete-event scheduler. The zero value is
 // not usable; create kernels with NewKernel.
-// A ringEvent is an event scheduled at the kernel's current instant,
-// queued in the immediate ring instead of a heap: a key equal to the
-// running minimum would sift past every future event, so same-instant
-// scheduling — the datapath's kick/Post chains — would pay the full heap
-// depth. The ring appends in seq order (seq is monotonic), making it a
-// FIFO that the dispatcher merges with the heap tops by (at, seq).
-type ringEvent struct {
-	seq uint64
-	arg uint64
-	fn  func()
-	h   Handler
-}
-
 type Kernel struct {
-	fq        eventHeap  // closure events
-	hq        hEventHeap // handler events
+	hq        hEventHeap
 	iq        []ringEvent
 	iqHead    int
 	now       Time
@@ -225,45 +158,28 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports how many events are scheduled but not yet dispatched,
 // including timers still waiting in the wheel (collected timers are
-// already in the handler heap and counted there).
+// already in the heap and counted there).
 func (k *Kernel) Pending() int {
-	return len(k.fq) + len(k.hq) + len(k.iq) - k.iqHead + k.tw.count
+	return len(k.hq) + len(k.iq) - k.iqHead + k.tw.count
 }
 
 // Processed reports the total number of events dispatched so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// At schedules fn to run at the absolute instant t. Scheduling into the past
-// panics: it indicates a model bug that would silently corrupt causality.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	k.seq++
-	if t == k.now {
-		k.iq = append(k.iq, ringEvent{seq: k.seq, fn: fn})
-		return
-	}
-	k.fq.push(event{at: t, seq: k.seq, fn: fn})
-}
+// At schedules fn to run at the absolute instant t: AtH with Func(fn).
+func (k *Kernel) At(t Time, fn func()) { k.AtH(t, Func(fn), 0) }
 
-// After schedules fn to run d after the current instant. Negative d panics.
-func (k *Kernel) After(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	k.At(k.now.Add(d), fn)
-}
+// After schedules fn to run d after the current instant: AfterH with
+// Func(fn).
+func (k *Kernel) After(d Duration, fn func()) { k.AfterH(d, Func(fn), 0) }
 
 // Post schedules fn at the current instant, after all events already
-// scheduled for this instant.
-func (k *Kernel) Post(fn func()) { k.At(k.now, fn) }
+// scheduled for this instant: PostH with Func(fn).
+func (k *Kernel) Post(fn func()) { k.PostH(Func(fn), 0) }
 
-// AtH schedules h.Handle(arg) at the absolute instant t. It is the
-// closure-free analog of At: the event carries the pre-existing handler
-// object instead of a freshly allocated func value, so steady-state
-// callers allocate nothing per schedule. Ordering is identical to At —
-// both draw from the same seq counter.
+// AtH schedules h.Handle(arg) at the absolute instant t. Scheduling into
+// the past panics: it indicates a model bug that would silently corrupt
+// causality.
 func (k *Kernel) AtH(t Time, h Handler, arg uint64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
@@ -273,7 +189,7 @@ func (k *Kernel) AtH(t Time, h Handler, arg uint64) {
 		k.iq = append(k.iq, ringEvent{seq: k.seq, arg: arg, h: h})
 		return
 	}
-	k.hq.push(hEvent{at: t, seq: k.seq, arg: arg, h: h})
+	k.hq.push(t, k.seq, h, arg)
 }
 
 // AtHFront schedules h.Handle(arg) at the absolute instant t ahead of
@@ -294,10 +210,11 @@ func (k *Kernel) AtHFront(t Time, h Handler, arg uint64) {
 	if k.frontSeq >= normalBand {
 		panic("sim: front-band seq exhausted")
 	}
-	k.hq.push(hEvent{at: t, seq: k.frontSeq, arg: arg, h: h})
+	k.hq.push(t, k.frontSeq, h, arg)
 }
 
-// AfterH schedules h.Handle(arg) d after the current instant.
+// AfterH schedules h.Handle(arg) d after the current instant. Negative d
+// panics.
 func (k *Kernel) AfterH(d Duration, h Handler, arg uint64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -313,66 +230,38 @@ func (k *Kernel) PostH(h Handler, arg uint64) { k.AtH(k.now, h, arg) }
 // event completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// step dispatches the earliest event across the two heaps and the immediate
+// step dispatches the earliest event across the heap and the immediate
 // ring. It reports false when no dispatchable events remain. seq values are
 // globally unique, so the (at, seq) order is total and the merge never ties;
-// ring entries all sit at the current instant, so a heap top precedes the
+// ring entries all sit at the current instant, so the heap top precedes the
 // ring head only when it shares that instant with a smaller seq.
 func (k *Kernel) step(limit Time) bool {
 	if k.tw.count > 0 {
 		k.collectTimers(limit)
 	}
-	nf, nh := len(k.fq), len(k.hq)
-	fromF := nf > 0 && (nh == 0 ||
-		k.fq[0].at < k.hq[0].at ||
-		(k.fq[0].at == k.hq[0].at && k.fq[0].seq < k.hq[0].seq))
-	if k.iqHead < len(k.iq) {
-		heapFirst := false
-		if fromF {
-			heapFirst = k.fq[0].at == k.now && k.fq[0].seq < k.iq[k.iqHead].seq
-		} else if nh > 0 {
-			heapFirst = k.hq[0].at == k.now && k.hq[0].seq < k.iq[k.iqHead].seq
-		}
-		if !heapFirst {
-			if k.now > limit {
-				return false
-			}
-			e := k.iq[k.iqHead]
-			k.iq[k.iqHead] = ringEvent{}
-			k.iqHead++
-			if k.iqHead == len(k.iq) { // drained: reuse the backing array
-				k.iq = k.iq[:0]
-				k.iqHead = 0
-			}
-			k.processed++
-			if e.h != nil {
-				e.h.Handle(e.arg)
-			} else {
-				e.fn()
-			}
-			return true
-		}
-	}
-	if fromF {
-		if k.fq[0].at > limit {
+	if k.iqHead < len(k.iq) &&
+		!(len(k.hq) > 0 && k.hq[0].at == k.now && k.hq[0].seq < k.iq[k.iqHead].seq) {
+		if k.now > limit {
 			return false
 		}
-		e := k.fq.pop()
-		k.now = e.at
+		e := k.iq[k.iqHead]
+		k.iq[k.iqHead] = ringEvent{}
+		k.iqHead++
+		if k.iqHead == len(k.iq) { // drained: reuse the backing array
+			k.iq = k.iq[:0]
+			k.iqHead = 0
+		}
 		k.processed++
-		e.fn()
+		e.h.Handle(e.arg)
 		return true
 	}
-	if nh == 0 {
+	if len(k.hq) == 0 || k.hq[0].at > limit {
 		return false
 	}
-	if k.hq[0].at > limit {
-		return false
-	}
-	e := k.hq.pop()
-	k.now = e.at
+	at, h, arg := k.hq.pop()
+	k.now = at
 	k.processed++
-	e.h.Handle(e.arg)
+	h.Handle(arg)
 	return true
 }
 
@@ -386,20 +275,13 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 	if k.iqHead < len(k.iq) {
 		return k.now, true
 	}
-	next := MaxTime
-	found := false
-	if len(k.fq) > 0 {
-		next = k.fq[0].at
-		found = true
-	}
-	if len(k.hq) > 0 && (!found || k.hq[0].at < next) {
-		next = k.hq[0].at
-		found = true
+	next, found := MaxTime, false
+	if len(k.hq) > 0 {
+		next, found = k.hq[0].at, true
 	}
 	if k.tw.count > 0 {
 		if wn := k.tw.next(); !found || wn < next {
-			next = wn
-			found = true
+			next, found = wn, true
 		}
 	}
 	return next, found

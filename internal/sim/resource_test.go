@@ -10,11 +10,11 @@ func TestServerSerializesFIFO(t *testing.T) {
 	s := NewServer(k)
 	var done []Time
 	k.At(0, func() {
-		s.Serve(10, func() { done = append(done, k.Now()) })
-		s.Serve(5, func() { done = append(done, k.Now()) })
+		s.Serve(10, Func(func() { done = append(done, k.Now()) }), 0)
+		s.Serve(5, Func(func() { done = append(done, k.Now()) }), 0)
 	})
 	k.At(3, func() {
-		s.Serve(7, func() { done = append(done, k.Now()) })
+		s.Serve(7, Func(func() { done = append(done, k.Now()) }), 0)
 	})
 	k.Run()
 	want := []Time{10, 15, 22}
@@ -37,9 +37,9 @@ func TestServerSerializesFIFO(t *testing.T) {
 func TestServerIdleGap(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k)
-	k.At(0, func() { s.Serve(10, nil) })
+	k.At(0, func() { s.Serve(10, nil, 0) })
 	var at Time
-	k.At(100, func() { s.Serve(10, func() { at = k.Now() }) })
+	k.At(100, func() { s.Serve(10, Func(func() { at = k.Now() }), 0) })
 	k.Run()
 	if at != 110 {
 		t.Fatalf("second job finished at %v, want 110 (server idles between jobs)", at)
@@ -52,7 +52,7 @@ func TestServerIdleGap(t *testing.T) {
 func TestServerUtilization(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k)
-	k.At(0, func() { s.Serve(Duration(500*Millisecond), nil) })
+	k.At(0, func() { s.Serve(Duration(500*Millisecond), nil, 0) })
 	k.RunUntil(Time(Second))
 	u := s.Utilization()
 	if u < 0.49 || u > 0.51 {
@@ -68,14 +68,14 @@ func TestServerNegativeServicePanics(t *testing.T) {
 			t.Error("negative service did not panic")
 		}
 	}()
-	s.Serve(-1, nil)
+	s.Serve(-1, nil, 0)
 }
 
 func TestCreditPoolImmediateAndQueued(t *testing.T) {
 	k := NewKernel()
 	p := NewCreditPool(k, 2)
 	var got []int
-	take := func(id int) { p.Acquire(func() { got = append(got, id) }) }
+	take := func(id int) { p.Acquire(Func(func() { got = append(got, id) }), 0) }
 	k.At(0, func() {
 		take(1)
 		take(2)
@@ -130,10 +130,10 @@ func TestCreditPoolFIFOGrants(t *testing.T) {
 	k.At(0, func() {
 		for i := 0; i < 5; i++ {
 			i := i
-			p.Acquire(func() {
+			p.Acquire(Func(func() {
 				got = append(got, i)
 				k.After(10, p.Release)
-			})
+			}), 0)
 		}
 	})
 	k.Run()
@@ -156,7 +156,7 @@ func TestServerWorkConservingProperty(t *testing.T) {
 			for _, r := range raw {
 				d := Duration(r)
 				sum += d
-				last = s.Serve(d, func() {})
+				last = s.Serve(d, Func(func() {}), 0)
 			}
 		})
 		end := k.Run()
@@ -180,7 +180,7 @@ func TestCreditPoolCapacityProperty(t *testing.T) {
 		inUse, maxUse := 0, 0
 		k.At(0, func() {
 			for i := 0; i < n; i++ {
-				p.Acquire(func() {
+				p.Acquire(Func(func() {
 					inUse++
 					if inUse > maxUse {
 						maxUse = inUse
@@ -189,7 +189,7 @@ func TestCreditPoolCapacityProperty(t *testing.T) {
 						inUse--
 						p.Release()
 					})
-				})
+				}), 0)
 			}
 		})
 		k.Run()
