@@ -4,8 +4,8 @@ GO ?= go
 
 # Benchmark artifact for this PR and the committed baseline it is gated
 # against (previous PR's numbers).
-BENCH_OUT      ?= BENCH_12.json
-BENCH_BASELINE ?= BENCH_10.json
+BENCH_OUT      ?= BENCH_13.json
+BENCH_BASELINE ?= BENCH_12.json
 
 all: vet fmt-check build test
 

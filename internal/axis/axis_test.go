@@ -178,6 +178,9 @@ func TestMuxRoundRobinFairness(t *testing.T) {
 	if m.FlowTransfers(1) != 50 || m.FlowTransfers(2) != 50 {
 		t.Fatalf("flow counts = %d/%d", m.FlowTransfers(1), m.FlowTransfers(2))
 	}
+	if m.FlowTransfers(0) != 0 || m.FlowTransfers(3) != 0 || m.FlowTransfers(-1) != 0 {
+		t.Fatalf("unseen flow counts = %d/%d/%d", m.FlowTransfers(0), m.FlowTransfers(3), m.FlowTransfers(-1))
+	}
 	// Strict alternation when both inputs are backlogged.
 	prev := -1
 	same := 0

@@ -119,7 +119,7 @@ type Mux struct {
 	busyUntil sim.Time
 	armed     bool
 	transfers uint64
-	perFlow   map[int]uint64
+	perFlow   []uint64 // indexed by Beat.Flow, grown on demand
 }
 
 // NewMux wires a round-robin multiplexer. gate may be nil.
@@ -130,7 +130,7 @@ func NewMux(k *sim.Kernel, ins []*FIFO, out *FIFO, cycle sim.Duration, gate Gate
 	if gate == nil {
 		gate = PassGate{}
 	}
-	m := &Mux{k: k, ins: ins, out: out, cycle: cycle, gate: gate, perFlow: make(map[int]uint64)}
+	m := &Mux{k: k, ins: ins, out: out, cycle: cycle, gate: gate}
 	for _, in := range ins {
 		in.OnData(m.kick)
 	}
@@ -142,7 +142,12 @@ func NewMux(k *sim.Kernel, ins []*FIFO, out *FIFO, cycle sim.Duration, gate Gate
 func (m *Mux) Transfers() uint64 { return m.transfers }
 
 // FlowTransfers returns beats moved for a given Beat.Flow value.
-func (m *Mux) FlowTransfers(flow int) uint64 { return m.perFlow[flow] }
+func (m *Mux) FlowTransfers(flow int) uint64 {
+	if flow < 0 || flow >= len(m.perFlow) {
+		return 0
+	}
+	return m.perFlow[flow]
+}
 
 func (m *Mux) anyValid() bool {
 	for _, in := range m.ins {
@@ -169,6 +174,14 @@ func (m *Mux) kick() {
 // Handle implements sim.Handler for closure-free arming.
 func (m *Mux) Handle(uint64) { m.fire() }
 
+// countFlow credits one beat to flow, growing perFlow to cover it.
+func (m *Mux) countFlow(flow int) {
+	if flow >= len(m.perFlow) {
+		m.perFlow = append(m.perFlow, make([]uint64, flow+1-len(m.perFlow))...)
+	}
+	m.perFlow[flow]++
+}
+
 func (m *Mux) fire() {
 	m.armed = false
 	if m.out.Space() == 0 || !m.anyValid() {
@@ -189,7 +202,7 @@ func (m *Mux) fire() {
 			m.gate.Commit(now)
 			m.busyUntil = now.Add(m.cycle)
 			m.transfers++
-			m.perFlow[b.Flow]++
+			m.countFlow(b.Flow)
 			m.out.Push(b)
 			break
 		}

@@ -49,17 +49,17 @@ type RemoteBackend struct {
 	tags *ocapi.TagAllocator
 	// tagBase offsets this backend's tags so several backends can share
 	// one NIC with disjoint tag ranges (multi-lender borrowing).
-	tagBase  uint32
-	tagCount uint32
+	tagBase uint32
 	// portLatency is the CPU-to-NIC OpenCAPI transport cost, applied per
 	// direction.
 	portLatency sim.Duration
 	src, dst    uint16
 	prio        uint8
 
-	// pending maps outstanding tags to their transaction contexts; sendQ
-	// holds contexts waiting for a tag or for NIC command-queue space.
-	pending map[uint32]*rtxn
+	// pending holds each outstanding tag's transaction context at index
+	// tag-tagBase (nil when the tag is free); sendQ holds contexts waiting
+	// for a tag or for NIC command-queue space.
+	pending []*rtxn
 	sendQ   []*rtxn
 	// free recycles transaction contexts so steady-state issues allocate
 	// nothing.
@@ -252,11 +252,10 @@ func NewRemoteBackendTags(k *sim.Kernel, nic Sender, tagBase uint32, tagSpace in
 		nic:         nic,
 		tags:        ocapi.NewTagAllocator(tagSpace),
 		tagBase:     tagBase,
-		tagCount:    uint32(tagSpace),
 		portLatency: portLatency,
 		src:         src,
 		dst:         dst,
-		pending:     make(map[uint32]*rtxn),
+		pending:     make([]*rtxn, tagSpace),
 	}
 	nic.OnCmdSpace(b.pump)
 	return b
@@ -301,11 +300,16 @@ func (b *RemoteBackend) Priority() uint8 { return b.prio }
 // Owns reports whether a response tag belongs to this backend's range and
 // is outstanding.
 func (b *RemoteBackend) Owns(tag uint32) bool {
-	if tag < b.tagBase || tag >= b.tagBase+b.tagCount {
-		return false
+	return b.outstanding(tag) != nil
+}
+
+// outstanding returns the context of an outstanding tag, nil for a tag
+// that is out of range or free.
+func (b *RemoteBackend) outstanding(tag uint32) *rtxn {
+	if i := tag - b.tagBase; tag >= b.tagBase && i < uint32(len(b.pending)) {
+		return b.pending[i]
 	}
-	_, ok := b.pending[tag]
-	return ok
+	return nil
 }
 
 // Reads returns completed line reads.
@@ -403,7 +407,7 @@ func (b *RemoteBackend) pump() {
 		copy(b.sendQ, b.sendQ[1:])
 		b.sendQ[len(b.sendQ)-1] = nil
 		b.sendQ = b.sendQ[:len(b.sendQ)-1]
-		b.pending[tag] = t
+		b.pending[raw] = t
 	}
 }
 
@@ -412,11 +416,11 @@ func (b *RemoteBackend) tagsRelease(tag uint32) { b.tags.Release(tag - b.tagBase
 
 // Deliver completes a response from the NIC; wire it to NIC.OnDeliver.
 func (b *RemoteBackend) Deliver(p ocapi.Packet) {
-	t, ok := b.pending[p.Tag]
-	if !ok {
+	t := b.outstanding(p.Tag)
+	if t == nil {
 		panic("memport: response for unknown tag")
 	}
-	delete(b.pending, p.Tag)
+	b.pending[p.Tag-b.tagBase] = nil
 	// Delivery beats any armed deadline: the response reached the port, so
 	// expiry is moot from here on.
 	b.k.CancelTimer(t.dl)

@@ -257,6 +257,40 @@ func TestRemoteBackendUnknownTagPanics(t *testing.T) {
 	b.Deliver(ocapi.Packet{Op: ocapi.OpReadResp, Tag: 7, Size: ocapi.CacheLineSize})
 }
 
+// TestRemoteBackendUnknownTagPanicMessage pins Deliver's panic for every
+// kind of unknown tag — below the backend's range, past it, in range but
+// never issued, and already delivered — and Owns' answer for each.
+func TestRemoteBackendUnknownTagPanicMessage(t *testing.T) {
+	k := sim.NewKernel()
+	fs := &fakeSender{space: 100}
+	b := NewRemoteBackendTags(k, fs, 8, 2, 0, 0, 1)
+	k.At(0, func() { b.ReadLine(0, 0, nil, 0) })
+	k.Run()
+	issued := fs.sent[0].Tag
+	if !b.Owns(issued) {
+		t.Fatalf("Owns(%d) = false for the outstanding tag", issued)
+	}
+	k.Post(func() { b.Deliver(fs.sent[0].Response()) })
+	k.Run()
+	unused := uint32(8)
+	if unused == issued {
+		unused = 9
+	}
+	for _, tag := range []uint32{3, 10, 1 << 31, unused, issued} {
+		if b.Owns(tag) {
+			t.Errorf("Owns(%d) = true, want false", tag)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "memport: response for unknown tag" {
+					t.Errorf("Deliver(tag %d) panicked with %v", tag, r)
+				}
+			}()
+			b.Deliver(ocapi.Packet{Op: ocapi.OpReadResp, Tag: tag, Size: ocapi.CacheLineSize})
+		}()
+	}
+}
+
 func TestRemoteBackendAddressAlignment(t *testing.T) {
 	k := sim.NewKernel()
 	fs := &fakeSender{space: 10}

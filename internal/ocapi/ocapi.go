@@ -334,7 +334,7 @@ func (p *Packet) UnmarshalBinary(buf []byte) error {
 // the AFU tag pool that bounds outstanding OpenCAPI commands.
 type TagAllocator struct {
 	free []uint32
-	out  map[uint32]bool
+	out  []bool // out[tag]: tag is in flight
 }
 
 // NewTagAllocator returns an allocator with n tags (0..n-1).
@@ -342,7 +342,7 @@ func NewTagAllocator(n int) *TagAllocator {
 	if n <= 0 {
 		panic("ocapi: tag space must be positive")
 	}
-	a := &TagAllocator{out: make(map[uint32]bool, n)}
+	a := &TagAllocator{out: make([]bool, n)}
 	for i := n - 1; i >= 0; i-- {
 		a.free = append(a.free, uint32(i))
 	}
@@ -363,15 +363,15 @@ func (a *TagAllocator) Alloc() (uint32, bool) {
 // Release returns a tag; releasing a tag not outstanding panics (protocol
 // corruption).
 func (a *TagAllocator) Release(tag uint32) {
-	if !a.out[tag] {
+	if tag >= uint32(len(a.out)) || !a.out[tag] {
 		panic(fmt.Sprintf("ocapi: release of non-outstanding tag %d", tag))
 	}
-	delete(a.out, tag)
+	a.out[tag] = false
 	a.free = append(a.free, tag)
 }
 
 // Outstanding returns the number of tags in flight.
-func (a *TagAllocator) Outstanding() int { return len(a.out) }
+func (a *TagAllocator) Outstanding() int { return len(a.out) - len(a.free) }
 
 // LineAlign rounds addr down to a cache-line boundary.
 func LineAlign(addr uint64) uint64 { return addr &^ uint64(CacheLineSize-1) }

@@ -1,6 +1,7 @@
 package ocapi
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +160,34 @@ func TestTagAllocatorDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	a.Release(tag)
+}
+
+// TestTagAllocatorReleaseMisusePanics pins the release panic's message
+// for every misuse, including tags outside the space: they must read as
+// protocol corruption, not as an index error.
+func TestTagAllocatorReleaseMisusePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tag  uint32
+		prep func(a *TagAllocator)
+	}{
+		{"never allocated", 1, func(*TagAllocator) {}},
+		{"double release", 0, func(a *TagAllocator) { tag, _ := a.Alloc(); a.Release(tag) }},
+		{"past the space", 2, func(a *TagAllocator) { a.Alloc(); a.Alloc() }},
+		{"far past the space", 1 << 31, func(*TagAllocator) {}},
+	} {
+		a := NewTagAllocator(2)
+		tc.prep(a)
+		want := fmt.Sprintf("ocapi: release of non-outstanding tag %d", tc.tag)
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("%s: Release(%d) panicked with %v, want %q", tc.name, tc.tag, r, want)
+				}
+			}()
+			a.Release(tc.tag)
+		}()
+	}
 }
 
 func TestLineHelpers(t *testing.T) {

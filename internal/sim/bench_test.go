@@ -84,6 +84,38 @@ func BenchmarkKernelHandlerHeapChurn(b *testing.B) {
 	k.Run()
 }
 
+// fanoutTick is one stream of BenchmarkKernelFixedDelayFanout: it
+// re-arms itself at its fixed delay while the shared budget lasts.
+type fanoutTick struct {
+	k    *Kernel
+	d    Duration
+	left *int
+}
+
+func (t *fanoutTick) Handle(uint64) {
+	if *t.left > 0 {
+		*t.left--
+		t.k.AfterH(t.d, t, 0)
+	}
+}
+
+// BenchmarkKernelFixedDelayFanout measures the datapath's dominant event
+// shape: 512 events in flight, each re-scheduling itself at one of 4
+// fixed delays, the way pipeline stages of fixed latency hand beats on.
+// Every event lands in a delay class, so the heap holds 4 entries.
+func BenchmarkKernelFixedDelayFanout(b *testing.B) {
+	k := NewKernel()
+	delays := [4]Duration{40 * Nanosecond, 64 * Nanosecond, 100 * Nanosecond, 250 * Nanosecond}
+	left := b.N
+	for i := 0; i < 512; i++ {
+		k.AtH(Time(i), &fanoutTick{k: k, d: delays[i%len(delays)], left: &left}, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Processed()), "ns/event")
+}
+
 // BenchmarkCreditPoolCycle measures acquire/release round trips.
 func BenchmarkCreditPoolCycle(b *testing.B) {
 	k := NewKernel()

@@ -81,36 +81,49 @@ func (q *hEventHeap) pop() (Time, Handler, uint64) {
 	at, h, arg := s[0].at, s[0].h, s[0].arg
 	n := len(s) - 1
 	if n > 0 {
-		// Sift the tail element down from the root, keeping its key and
-		// the running minimum child's key in registers.
-		lat, lseq := s[n].at, s[n].seq
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m, mat, mseq := c, s[c].at, s[c].seq
-			for j := c + 1; j < end; j++ {
-				if a := s[j].at; a < mat || (a == mat && s[j].seq < mseq) {
-					m, mat, mseq = j, a, s[j].seq
-				}
-			}
-			if mat > lat || (mat == lat && mseq >= lseq) {
-				break
-			}
-			s.move(i, m)
-			i = m
-		}
-		s.move(i, n)
+		s.move(s.down(n, s[n].at, s[n].seq), n)
 	}
 	s[n].h = nil // release the handler for GC
 	*q = s[:n]
 	return at, h, arg
+}
+
+// fixTop re-keys the minimum to (at, seq), which must not precede its old
+// key, and sifts it down in place: one sift where a pop and a push would
+// take two. It must not be called on an empty heap.
+func (q hEventHeap) fixTop(at Time, seq uint64) {
+	h, arg := q[0].h, q[0].arg
+	e := &q[q.down(len(q), at, seq)]
+	e.at, e.seq, e.arg, e.h = at, seq, arg, h
+}
+
+// down sifts a hole from the root of q[:n] toward the leaves for an
+// element keyed (lat, lseq), keeping that key and the running minimum
+// child's key in registers, and returns the hole's final index; the caller
+// fills it.
+func (q hEventHeap) down(n int, lat Time, lseq uint64) int {
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			return i
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m, mat, mseq := c, q[c].at, q[c].seq
+		for j := c + 1; j < end; j++ {
+			if a := q[j].at; a < mat || (a == mat && q[j].seq < mseq) {
+				m, mat, mseq = j, a, q[j].seq
+			}
+		}
+		if mat > lat || (mat == lat && mseq >= lseq) {
+			return i
+		}
+		q.move(i, m)
+		i = m
+	}
 }
 
 // A ringEvent is an event scheduled at the kernel's current instant,
@@ -128,16 +141,19 @@ type ringEvent struct {
 // Kernel is a single-threaded discrete-event scheduler. The zero value is
 // not usable; create kernels with NewKernel.
 type Kernel struct {
-	hq        hEventHeap
-	iq        []ringEvent
-	iqHead    int
-	now       Time
-	seq       uint64
-	frontSeq  uint64
-	processed uint64
-	running   bool
-	stopped   bool
-	tw        timerWheel // cancellable timers (ArmTimer/CancelTimer)
+	hq         hEventHeap
+	iq         []ringEvent
+	iqHead     int
+	dc         [delayClasses]delayClass // fixed-delay FIFOs (AfterH)
+	queued     int                      // class entries behind their heads
+	freeBlocks *classBlock              // the classes' spare blocks
+	now        Time
+	seq        uint64
+	frontSeq   uint64
+	processed  uint64
+	running    bool
+	stopped    bool
+	tw         timerWheel // cancellable timers (ArmTimer/CancelTimer)
 }
 
 // normalBand is the first seq value of the ordinary At/AtH band. Seq
@@ -157,10 +173,11 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports how many events are scheduled but not yet dispatched,
-// including timers still waiting in the wheel (collected timers are
-// already in the heap and counted there).
+// including delay-class entries queued behind their class heads and
+// timers still waiting in the wheel (collected timers are already in the
+// heap and counted there).
 func (k *Kernel) Pending() int {
-	return len(k.hq) + len(k.iq) - k.iqHead + k.tw.count
+	return len(k.hq) + k.queued + len(k.iq) - k.iqHead + k.tw.count
 }
 
 // Processed reports the total number of events dispatched so far.
@@ -214,12 +231,37 @@ func (k *Kernel) AtHFront(t Time, h Handler, arg uint64) {
 }
 
 // AfterH schedules h.Handle(arg) d after the current instant. Negative d
-// panics.
+// panics. A positive d is routed through its delay class (see
+// delayClass): while the class has an event in flight, the new event
+// queues behind it; an idle class's lone event, or one whose slot another
+// delay holds, goes straight to the heap. Every route dispatches the
+// event at its (at, seq) position.
 func (k *Kernel) AfterH(d Duration, h Handler, arg uint64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.AtH(k.now.Add(d), h, arg)
+	at := k.now.Add(d)
+	if at <= k.now {
+		k.AtH(at, h, arg) // d == 0 joins the immediate ring; an overflowed at panics
+		return
+	}
+	k.seq++
+	c := &k.dc[classSlot(d)]
+	if c.n == 0 && (c.d != d || c.last <= k.now) {
+		// An idle slot, or one whose delay has nothing queued: d claims
+		// it, and its lone event costs no more than a plain push.
+		c.d, c.last = d, at
+	} else if c.d == d {
+		c.last = at
+		c.push(k, at, k.seq, h, arg)
+		if c.n == 1 {
+			k.hq.push(at, k.seq, c, 0)
+		} else {
+			k.queued++
+		}
+		return
+	}
+	k.hq.push(at, k.seq, h, arg)
 }
 
 // PostH schedules h.Handle(arg) at the current instant, after all events
@@ -231,7 +273,8 @@ func (k *Kernel) PostH(h Handler, arg uint64) { k.AtH(k.now, h, arg) }
 func (k *Kernel) Stop() { k.stopped = true }
 
 // step dispatches the earliest event across the heap and the immediate
-// ring. It reports false when no dispatchable events remain. seq values are
+// ring; a delay-class head in the heap stands for its whole FIFO. It
+// reports false when no dispatchable events remain. seq values are
 // globally unique, so the (at, seq) order is total and the merge never ties;
 // ring entries all sit at the current instant, so the heap top precedes the
 // ring head only when it shares that instant with a smaller seq.
@@ -258,8 +301,24 @@ func (k *Kernel) step(limit Time) bool {
 	if len(k.hq) == 0 || k.hq[0].at > limit {
 		return false
 	}
-	at, h, arg := k.hq.pop()
-	k.now = at
+	var h Handler
+	var arg uint64
+	if c, ok := k.hq[0].h.(*delayClass); ok {
+		// A class head: promote the class's next entry into the heap
+		// before dispatching, so events the callee schedules merge
+		// against the class's true successor.
+		k.now = k.hq[0].at
+		h, arg = c.shift(k)
+		if c.n > 0 {
+			nx := c.peek()
+			k.queued--
+			k.hq.fixTop(nx.at, nx.seq)
+		} else {
+			k.hq.pop()
+		}
+	} else {
+		k.now, h, arg = k.hq.pop()
+	}
 	k.processed++
 	h.Handle(arg)
 	return true
