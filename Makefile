@@ -4,8 +4,8 @@ GO ?= go
 
 # Benchmark artifact for this PR and the committed baseline it is gated
 # against (previous PR's numbers).
-BENCH_OUT      ?= BENCH_13.json
-BENCH_BASELINE ?= BENCH_12.json
+BENCH_OUT      ?= BENCH_14.json
+BENCH_BASELINE ?= BENCH_13.json
 
 all: vet fmt-check build test
 
@@ -64,9 +64,8 @@ bench-gate:
 	@rm -f bench.out
 
 # Race-check the pool-heavy packages: pooled transactions, free-listed
-# continuations, and the sharded event runtime (cross-shard inbox rings,
-# spin barrier) must stay data-race-free under concurrent sweep workers
-# and goroutine-per-shard rounds.
+# continuations and per-kernel free lists must stay data-race-free while
+# concurrent sweep workers each drive their own event kernel.
 race-pools:
 	$(GO) test -race ./internal/sim ./internal/cluster ./internal/pool \
 		./internal/fabric ./internal/tfnic ./internal/ocapi \

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
+	"thymesim/internal/memport"
 	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/pool"
@@ -488,5 +490,112 @@ func TestPoolConfigValidate(t *testing.T) {
 	bad.LenderCapacity = 100
 	if err := bad.Validate(); err == nil {
 		t.Error("unaligned lender capacity accepted")
+	}
+}
+
+// TestPoolStepToControlPlane drives a 2×2 pool with ARQ and fill
+// deadlines the way the experiment drivers do: StepTo a round boundary,
+// apply a control-plane phase (probe, crash, wiped restore and re-arm
+// probe, grow, detach) with the kernel parked, then issue a burst of
+// fills. Every boundary must land exactly, every phase must succeed, every
+// fill must complete unpoisoned, and the whole log must repeat exactly on
+// a second run.
+func TestPoolStepToControlPlane(t *testing.T) {
+	run := func() []string {
+		cfg := poolConfig(2, 2) // one region per lender
+		cfg.LenderCapacity = 1 << 20
+		cfg.Base.ARQ = faultARQConfig()
+		cfg.Base.FillDeadline = 200 * sim.Microsecond
+		p := NewPool(cfg)
+		var log []string
+		note := func(format string, args ...any) {
+			log = append(log, fmt.Sprintf("%v: ", p.K.Now())+fmt.Sprintf(format, args...))
+		}
+		regions := make([]Region, 2)
+		hs := make([]*memport.Hierarchy, 2)
+		for b := range regions {
+			r, err := p.Attach(b, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions[b] = r
+			hs[b] = p.Borrowers[b].NewRemoteHierarchy()
+		}
+		issued, completed, probesOK := 0, 0, 0
+		step := 50 * sim.Microsecond
+		for round := 1; round <= 6; round++ {
+			boundary := sim.Time(round) * sim.Time(step)
+			p.StepTo(boundary)
+			if p.K.Now() != boundary {
+				t.Fatalf("StepTo(%v) left the clock at %v", boundary, p.K.Now())
+			}
+			switch round {
+			case 1:
+				for b, bn := range p.Borrowers {
+					bn.ProbeLender(p.Lenders[b], 20*sim.Microsecond, func(ok bool, rtt sim.Duration) {
+						if ok {
+							probesOK++
+						}
+						note("probe b%d ok=%t rtt=%v", b, ok, rtt)
+					})
+				}
+			case 2:
+				p.CrashLender(1)
+				note("crashed lender 1")
+			case 3:
+				p.RestoreLender(1, true)
+				note("restored lender 1 (wiped)")
+				// A probe re-arms the wiped window state.
+				p.Borrowers[1].ProbeLender(p.Lenders[1], 20*sim.Microsecond, func(ok bool, rtt sim.Duration) {
+					note("re-arm probe ok=%t rtt=%v", ok, rtt)
+				})
+			case 4:
+				g, err := p.Grow(regions[0], 128<<10)
+				if err != nil || g.Size != 128<<10 {
+					t.Fatalf("grow: size %d, err %v", g.Size, err)
+				}
+				regions[0] = g
+				note("grew region 0 to %d", g.Size)
+			case 5:
+				if err := p.Detach(regions[1]); err != nil {
+					t.Fatalf("detach: %v", err)
+				}
+				note("detached region 1")
+			}
+			for b := range regions {
+				if round >= 5 && b == 1 {
+					continue // detached
+				}
+				for i := 0; i < 8; i++ {
+					issued++
+					line := uint64(8*round + i) // fresh lines: every fill misses
+					hs[b].Access(regions[b].Addr(line*ocapi.CacheLineSize), 8, i%2 == 0, func() {
+						completed++
+						note("fill b%d done", b)
+					})
+				}
+			}
+		}
+		p.Run()
+		if probesOK != 2 {
+			t.Fatalf("%d of 2 probes succeeded", probesOK)
+		}
+		if completed != issued {
+			t.Fatalf("%d of %d fills completed", completed, issued)
+		}
+		// The crash black-holed borrower 1's requests; ARQ carried them
+		// across the outage and the re-arm probe, inside the deadline.
+		if drops := p.Lenders[1].NIC.Stats().CrashDrops; drops == 0 {
+			t.Fatal("crash dropped no requests: the outage was never exercised")
+		}
+		if n := p.Borrowers[1].Backend().Poisoned(); n != 0 {
+			t.Fatalf("%d fills completed poisoned", n)
+		}
+		return log
+	}
+	want := run()
+	got := run()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("second run diverged:\n got %v\nwant %v", got, want)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"thymesim/internal/migrate"
 	"thymesim/internal/sim"
 	"thymesim/internal/sweep"
-	"thymesim/internal/telemetry"
 	"thymesim/internal/tfnic"
 	"thymesim/internal/workloads/graph500"
 	"thymesim/internal/workloads/kvstore"
@@ -90,9 +89,6 @@ type ChaosConfig struct {
 	ARQ tfnic.ARQConfig
 	// Supervisor parameterizes heartbeat link supervision and re-attach.
 	Supervisor control.SupervisorConfig
-	// SampleEvery is the telemetry sampling interval for the live
-	// fault/recovery counters.
-	SampleEvery sim.Duration
 	// Workloads selects which workloads to run (subset of ChaosWorkloads).
 	Workloads []string
 }
@@ -105,13 +101,12 @@ func DefaultChaosConfig() ChaosConfig {
 	arq.Timeout = 30 * sim.Microsecond
 	arq.MaxRetries = 8
 	return ChaosConfig{
-		Seed:        1,
-		Period:      1,
-		Faults:      DefaultChaosFaults(),
-		ARQ:         arq,
-		Supervisor:  control.DefaultSupervisorConfig(),
-		SampleEvery: 20 * sim.Microsecond,
-		Workloads:   ChaosWorkloads,
+		Seed:       1,
+		Period:     1,
+		Faults:     DefaultChaosFaults(),
+		ARQ:        arq,
+		Supervisor: control.DefaultSupervisorConfig(),
+		Workloads:  ChaosWorkloads,
 	}
 }
 
@@ -128,9 +123,6 @@ func (c ChaosConfig) Validate() error {
 	}
 	if err := c.Supervisor.Validate(); err != nil {
 		return err
-	}
-	if c.SampleEvery <= 0 {
-		return fmt.Errorf("core: chaos sample interval %v", c.SampleEvery)
 	}
 	if len(c.Workloads) == 0 {
 		return fmt.Errorf("core: no chaos workloads")
@@ -218,14 +210,12 @@ type ChaosResult struct {
 	Downs, Recoveries                                  uint64
 	MeanRecoveryUs                                     float64
 	FinalLink                                          string
-	// Samples is how many telemetry rounds observed the counters.
-	Samples uint64
 	// Violations lists failed end-to-end invariants (empty = run passed).
 	Violations []string
 }
 
-// chaosCounterNames fixes the counter order shared by telemetry probes,
-// aggregate tables, and CSV output.
+// chaosCounterNames fixes the counter order shared by the aggregate table
+// and CSV output.
 var chaosCounterNames = []string{
 	"gate_dropped", "gate_corrupted", "flap_blocked",
 	"arq_retransmits", "arq_timeouts", "arq_nack_retries", "arq_dead",
@@ -238,46 +228,19 @@ func (o Options) runChaosWorkload(cfg ChaosConfig, name string) ChaosResult {
 	tb, gs := o.chaosTestbed(cfg)
 	sup := control.NewSupervisor(tb, cfg.Supervisor)
 
-	counters := metrics.NewCounterSet()
-	counters.Declare(chaosCounterNames...)
-	refresh := func() {
-		st := tb.ARQ.Stats()
-		ss := sup.Stats()
-		counters.Set("gate_dropped", gs.dropped())
-		counters.Set("gate_corrupted", gs.corrupted())
-		counters.Set("flap_blocked", gs.flapBlocked())
-		counters.Set("arq_retransmits", st.Retransmits)
-		counters.Set("arq_timeouts", st.Timeouts)
-		counters.Set("arq_nack_retries", st.NackRetries)
-		counters.Set("arq_dead", st.Dead)
-		counters.Set("backend_poisoned", tb.RemoteBackend().Poisoned())
-		counters.Set("sup_downs", ss.Downs)
-		counters.Set("sup_recoveries", ss.Recoveries)
-	}
-	sampler := telemetry.NewSampler(tb.K, cfg.SampleEvery)
-	telemetry.RegisterCounterSet(sampler, "chaos_", counters)
-
 	done := false
 	var doneAt sim.Time
 	finish := func() {
 		done = true
 		doneAt = tb.K.Now()
 		sup.Stop()
-		sampler.Stop()
 	}
 
 	tb.K.At(0, func() {
-		// Refresh before each sampling round so the probes read live values.
-		tb.K.Ticker(cfg.SampleEvery, func() bool {
-			refresh()
-			return !done
-		})
-		sampler.Start()
 		sup.Start()
 		o.launchChaosWorkload(tb, name, finish)
 	})
 	tb.K.Run()
-	refresh()
 
 	res := ChaosResult{
 		Workload:       name,
@@ -286,7 +249,6 @@ func (o Options) runChaosWorkload(cfg ChaosConfig, name string) ChaosResult {
 		Dropped:        gs.dropped(),
 		Corrupted:      gs.corrupted(),
 		FlapBlocked:    gs.flapBlocked(),
-		Samples:        sampler.Samples(),
 		FinalLink:      sup.State().String(),
 		MeanRecoveryUs: sup.Stats().MeanRecovery().Micros(),
 		Downs:          sup.Stats().Downs,

@@ -29,7 +29,6 @@ func TestChaosConfigValidation(t *testing.T) {
 		func(c *ChaosConfig) { c.Faults.FlapMeanDown = 0 },
 		func(c *ChaosConfig) { c.ARQ.Timeout = 0 },
 		func(c *ChaosConfig) { c.Supervisor.Heartbeat = 0 },
-		func(c *ChaosConfig) { c.SampleEvery = 0 },
 		func(c *ChaosConfig) { c.Workloads = nil },
 		func(c *ChaosConfig) { c.Workloads = []string{"memtier"} },
 	}
@@ -64,11 +63,6 @@ func TestChaosAllWorkloadsSurviveFaults(t *testing.T) {
 	}
 	if rep.Counters.Get("arq_retransmits") == 0 {
 		t.Error("no retransmissions despite loss")
-	}
-	for _, r := range rep.Results {
-		if r.Samples == 0 {
-			t.Errorf("%s: telemetry never sampled", r.Workload)
-		}
 	}
 	if len(rep.Table.Rows) != 3 {
 		t.Errorf("table rows = %d", len(rep.Table.Rows))

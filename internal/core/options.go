@@ -48,11 +48,8 @@ type Options struct {
 	// sweep points (instruments with equal labels merge), and it only
 	// observes: simulated results are identical with it on or off.
 	Metrics *metricsplane.Plane
-	// Shards selects intra-run parallelism for the pool experiments: each
-	// pool's event kernel is split into Shards conservatively synchronized
-	// shards (switch on one, nodes round-robin on the rest). 0 or 1 keeps
-	// the legacy single-kernel path. Like Workers, this changes wall clock
-	// only: results are byte-identical at any setting.
+	// Shards is ignored: every run uses one event kernel. The field is
+	// kept only so existing callers still compile, and will be removed.
 	Shards int
 }
 
@@ -106,9 +103,6 @@ func (o Options) Validate() error {
 	}
 	if o.LLCBytes < 1<<12 {
 		return fmt.Errorf("core: LLC %d too small", o.LLCBytes)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: Shards = %d (want >= 0; 0 is the single-kernel path)", o.Shards)
 	}
 	return nil
 }

@@ -122,7 +122,7 @@ func TestPoolChaosAuditHolds(t *testing.T) {
 }
 
 // TestConcurrentSweepsUnderRace runs two full sweeps side by side — each
-// internally parallel, each registering telemetry probes and counter sets —
+// internally parallel, each aggregating its trials into a counter set —
 // to prove (under -race) that concurrent testbeds share no mutable state.
 func TestConcurrentSweepsUnderRace(t *testing.T) {
 	run := func(seed uint64) *ChaosReport {

@@ -76,7 +76,6 @@ func (o Options) runPoolPoint(policy string, borrowers, lenders int) float64 {
 		Lenders:   lenders,
 		Base:      o.TestbedConfig(1),
 		Placement: pol,
-		Shards:    o.Shards,
 		// Sized so even default-pair can funnel every borrower onto
 		// lender 0: contention, not allocation failure, is the measured
 		// effect.
@@ -92,13 +91,8 @@ func (o Options) runPoolPoint(policy string, borrowers, lenders int) float64 {
 		}
 		cfg := stream.DefaultConfig(r.Addr(0))
 		cfg.Elements = o.StreamElements
-		// Each runner lives on its borrower's kernel: in sharded mode the
-		// borrowers advance in parallel, so both the runner's events and
-		// its completion callback stay shard-local.
 		runners = append(runners, stream.New(p.Borrowers[i].K, p.Borrowers[i].NewRemoteHierarchy(), cfg))
 	}
-	// Results land in per-borrower slots — callbacks on different shards
-	// run concurrently, so no shared append.
 	all := make([][]stream.Result, borrowers)
 	for i, r := range runners {
 		i, r := i, r
@@ -199,7 +193,6 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) *PoolChaos {
 		Lenders:   cfg.Lenders,
 		Base:      base,
 		Placement: pool.LeastLoaded{},
-		Shards:    o.Shards,
 		// Small reservations so the campaign actually exercises
 		// allocation pressure and attach rejection.
 		LenderCapacity: 4 << 20,
@@ -212,16 +205,12 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) *PoolChaos {
 	for i := range hs {
 		hs[i] = p.Borrowers[i].NewRemoteHierarchy()
 	}
-	// Completion callbacks run on the borrower's kernel; with the pool
-	// sharded those kernels advance concurrently, so each borrower counts
-	// into its own slot and the driver sums after the run.
-	completed := make([]uint64, cfg.Borrowers)
+	completed := func() { res.Completed++ }
 	crashed := -1
 	const roundGap = 500 * sim.Microsecond
-	// The campaign is a StepTo-barrier driver: each round the pool runs to
-	// the round boundary, then — with every kernel parked — the driver
-	// applies the control-plane phases single-threaded. The same code is
-	// deterministic in legacy and sharded modes.
+	// The campaign is a StepTo driver: each round the pool runs to the
+	// round boundary, then the driver applies the control-plane phases
+	// with the kernel parked.
 	for round := 0; round < cfg.Rounds; round++ {
 		p.StepTo(sim.Time(round) * sim.Time(roundGap))
 		// Fault phase: restore last round's casualty wiped (a probe
@@ -278,19 +267,14 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) *PoolChaos {
 			}
 			r := live[b][rng.Intn(len(live[b]))]
 			lines := int(r.Size / ocapi.CacheLineSize)
-			slot := &completed[b]
 			for a := rng.Intn(24) + 8; a > 0; a-- {
 				off := uint64(rng.Intn(lines)) * ocapi.CacheLineSize
 				res.Issued++
-				hs[b].Access(r.Addr(off), 8, rng.Intn(2) == 0,
-					func() { *slot++ })
+				hs[b].Access(r.Addr(off), 8, rng.Intn(2) == 0, completed)
 			}
 		}
 	}
 	p.Run()
-	for _, c := range completed {
-		res.Completed += c
-	}
 
 	viol := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))

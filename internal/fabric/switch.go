@@ -29,10 +29,9 @@ type SwitchConfig struct {
 	// upstream backpressure applies (PFC-style lossless fabric).
 	OutputQueue int
 	// InputQueue bounds each input port's queue in beats; zero means
-	// OutputQueue. Sharded pools deepen inputs past the worst-case
-	// outstanding-tag population so the cable never backpressures at the
-	// shard cut (see cluster.PoolConfig), while output queues keep
-	// modeling egress contention.
+	// OutputQueue. cluster.Pool deepens inputs past the worst-case
+	// outstanding-tag population so the node-to-switch cable never
+	// backpressures, while output queues keep modeling egress contention.
 	InputQueue int
 }
 
@@ -277,26 +276,6 @@ func (s *Switch) AttachNIC(i int, nic NICPorts) *netlink.Link {
 	s.attached[i] = true
 	p := s.ports[i]
 	return netlink.NewLink(s.k,
-		nic.TxQ, p.In, // NIC -> switch
-		p.Out, nic.RxQ, // switch -> NIC
-		s.cfg.LinkBandwidthBps, s.cfg.LinkPropagation)
-}
-
-// AttachRemoteNIC cables a NIC living on another shard to switch port i.
-// nodeK is the NIC's kernel; toSwitch/toSwitchBack are the node→switch
-// and switch→node streams of the cable's shard pair (the cable's
-// propagation is the pair's lookahead edge). Same one-NIC-per-port rule
-// as AttachNIC.
-func (s *Switch) AttachRemoteNIC(i int, nic NICPorts, nodeK *sim.Kernel, toSwitch, toNode *sim.Stream) *netlink.CrossLink {
-	if i < 0 || i >= len(s.ports) {
-		panic(fmt.Sprintf("fabric: port %d out of range", i))
-	}
-	if s.attached[i] {
-		panic(fmt.Sprintf("fabric: port %d already has a NIC", i))
-	}
-	s.attached[i] = true
-	p := s.ports[i]
-	return netlink.NewCrossLink(nodeK, s.k, toSwitch, toNode,
 		nic.TxQ, p.In, // NIC -> switch
 		p.Out, nic.RxQ, // switch -> NIC
 		s.cfg.LinkBandwidthBps, s.cfg.LinkPropagation)

@@ -121,13 +121,12 @@ type refEvent struct {
 // TestEventMergeOrder pins the kernel's one dispatch contract: At
 // closures, AtH handlers, AfterH over more distinct delays than the delay
 // class table holds (class hits, slot-collision heap fallbacks and zero
-// delays), PostH, AtHFront front-band events and armed, fired and
-// cancelled timers interleave strictly by (at, seq), including events
-// scheduled from inside running callbacks. The kernel is stepped one
-// dispatch at a time against a reference sorted by (at, seq) that
-// assigns seq the way the kernel documents: one normal-band counter
-// shared by At, AtH, AfterH, PostH and ArmTimer, and a separate front band
-// below it. Before every step Pending and NextEventTime must match the
+// delays), PostH and armed, fired and cancelled timers interleave
+// strictly by (at, seq), including events scheduled from inside running
+// callbacks. The kernel is stepped one dispatch at a time against a
+// reference sorted by (at, seq) that assigns seq the way the kernel
+// documents: one counter shared by At, AtH, AfterH, PostH and ArmTimer.
+// Before every step Pending and NextEventTime must match the
 // reference, and each step must dispatch exactly the reference minimum.
 func TestEventMergeOrder(t *testing.T) {
 	const unit = 250 * Nanosecond // four events per wheel tick
@@ -140,7 +139,7 @@ func TestEventMergeOrder(t *testing.T) {
 		const total = 4000
 		scheduled := 0
 		fired := int64(-1)
-		var kinds [9]int
+		var kinds [8]int
 		var fallbacks, queuedHits, ghosts int
 		probe := &mergeProbe{}
 		var schedule func()
@@ -201,10 +200,7 @@ func TestEventMergeOrder(t *testing.T) {
 			case 5:
 				at := now.Add(Duration(rng.Intn(40)) * unit)
 				k.AtH(at, probe, add(at, k.seq+1))
-			case 6:
-				at := now.Add(Duration(rng.Intn(8)) * unit)
-				k.AtHFront(at, probe, add(at, k.frontSeq+1))
-			case 7: // timers, a few far enough out to cascade
+			case 6: // timers, a few far enough out to cascade
 				d := Duration(rng.Intn(40)) * unit
 				if rng.Intn(8) == 0 {
 					d = Duration(300+rng.Intn(300)) * unit

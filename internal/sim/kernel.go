@@ -149,21 +149,15 @@ type Kernel struct {
 	freeBlocks *classBlock              // the classes' spare blocks
 	now        Time
 	seq        uint64
-	frontSeq   uint64
 	processed  uint64
 	running    bool
 	stopped    bool
 	tw         timerWheel // cancellable timers (ArmTimer/CancelTimer)
 }
 
-// normalBand is the first seq value of the ordinary At/AtH band. Seq
-// values below it belong to the front band (AtHFront), so a front event
-// always precedes same-instant normal events in the (at, seq) order.
-const normalBand = uint64(1) << 62
-
 // NewKernel returns a kernel whose clock starts at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{seq: normalBand}
+	k := &Kernel{}
 	k.tw.nextLB = MaxTime
 	k.tw.nextAt = MaxTime
 	return k
@@ -207,27 +201,6 @@ func (k *Kernel) AtH(t Time, h Handler, arg uint64) {
 		return
 	}
 	k.hq.push(t, k.seq, h, arg)
-}
-
-// AtHFront schedules h.Handle(arg) at the absolute instant t ahead of
-// every same-instant event the normal At/AtH band has scheduled or will
-// schedule. The sharded runtime injects cross-shard deliveries through
-// it: in a single-kernel run a cable delivery event is inserted at
-// serialization end — at least one propagation delay before it fires —
-// so it precedes any same-instant work the destination schedules while
-// the beat is still in flight, and the front band reproduces that
-// insertion point. Front events keep their own insertion order; unlike
-// AtH, a front event at the current instant still goes through the heap
-// so it can overtake the immediate ring.
-func (k *Kernel) AtHFront(t Time, h Handler, arg uint64) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	k.frontSeq++
-	if k.frontSeq >= normalBand {
-		panic("sim: front-band seq exhausted")
-	}
-	k.hq.push(t, k.frontSeq, h, arg)
 }
 
 // AfterH schedules h.Handle(arg) d after the current instant. Negative d
@@ -326,10 +299,9 @@ func (k *Kernel) step(limit Time) bool {
 
 // NextEventTime returns the timestamp of the earliest pending event,
 // including timers still waiting in the wheel (their exact deadlines, not
-// slot bounds — the sharded runtime's conservative horizon and AdvanceTo's
-// skip check both need the true minimum). ok is false when nothing is
-// scheduled. Immediate-ring events sit at the current instant by
-// construction.
+// slot bounds — AdvanceTo's skip check needs the true minimum). ok is false
+// when nothing is scheduled. Immediate-ring events sit at the current
+// instant by construction.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	if k.iqHead < len(k.iq) {
 		return k.now, true
@@ -348,8 +320,9 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 
 // RunBelow dispatches every event with timestamp strictly before horizon and
 // returns the final simulated time. Unlike RunUntil it never advances the
-// clock past the last dispatched event, so a conservative-PDES coordinator
-// can resume the kernel with a later horizon without losing the frontier.
+// clock past the last dispatched event, so a caller stepping the kernel in
+// windows (cluster.Pool.StepTo) can resume it with a later horizon without
+// losing the frontier.
 func (k *Kernel) RunBelow(horizon Time) Time {
 	if k.running {
 		panic("sim: Kernel.Run called reentrantly")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -252,5 +253,72 @@ func TestKernelDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	fn()
+}
+
+// countHandler counts its dispatches.
+type countHandler struct{ n int }
+
+func (c *countHandler) Handle(uint64) { c.n++ }
+
+// TestTickerRejectsNonPositivePeriod: a zero or negative period would
+// self-schedule at the same instant forever; the kernel must refuse it.
+func TestTickerRejectsNonPositivePeriod(t *testing.T) {
+	for _, period := range []Duration{0, -5} {
+		k := NewKernel()
+		mustPanic(t, fmt.Sprintf("Ticker(%d)", period), func() {
+			k.Ticker(period, func() bool { return true })
+		})
+	}
+}
+
+// TestRunBelowFrontier: RunBelow leaves the clock at the last dispatched
+// event and AdvanceTo refuses to skip pending work.
+func TestRunBelowFrontier(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	for _, at := range []Time{10, 20, 30} {
+		at := at
+		k.At(at, func() { fired = append(fired, at) })
+	}
+	if end := k.RunBelow(30); end != 20 {
+		t.Fatalf("RunBelow(30) = %v, want 20", end)
+	}
+	if len(fired) != 2 {
+		t.Fatalf("fired %v, want [10 20]", fired)
+	}
+	mustPanic(t, "AdvanceTo past pending", func() { k.AdvanceTo(31) })
+	k.AdvanceTo(30)
+	if k.Now() != 30 {
+		t.Fatalf("now = %v, want 30", k.Now())
+	}
+	mustPanic(t, "AdvanceTo backwards", func() { k.AdvanceTo(29) })
+	k.Run()
+	if len(fired) != 3 {
+		t.Fatalf("fired %v, want all three", fired)
+	}
+}
+
+// TestNextEventTime covers the empty kernel and the heap minimum across At
+// and AtH events.
+func TestNextEventTime(t *testing.T) {
+	k := NewKernel()
+	if _, ok := k.NextEventTime(); ok {
+		t.Fatal("empty kernel reported a next event")
+	}
+	k.At(40, func() {})
+	k.AtH(25, &countHandler{}, 0)
+	if next, ok := k.NextEventTime(); !ok || next != 25 {
+		t.Fatalf("next = %v,%v, want 25,true", next, ok)
 	}
 }

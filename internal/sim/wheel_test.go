@@ -352,8 +352,8 @@ func TestTimerWheelZeroAndFallback(t *testing.T) {
 	}
 }
 
-// TestTimerWheelAdvanceToExactDeadline reproduces the sharded StepTo
-// pattern: AdvanceTo to the exact deadline of a pending wheel timer must
+// TestTimerWheelAdvanceToExactDeadline reproduces cluster.Pool.StepTo's
+// RunBelow-then-AdvanceTo pattern: AdvanceTo to the exact deadline of a pending wheel timer must
 // not panic (NextEventTime must report the exact deadline, not its slot's
 // lower bound).
 func TestTimerWheelAdvanceToExactDeadline(t *testing.T) {

@@ -6,9 +6,7 @@
 // Concurrency contract: there is no package-global probe registry — every
 // Sampler belongs to one kernel and is driven only by that kernel's
 // (single-threaded) event loop, so concurrent testbeds in a parallel
-// sweep never share sampler state. A probe's closure may, however, read a
-// metrics.CounterSet that is also aggregated across testbeds; CounterSet
-// is mutex-protected for exactly that case.
+// sweep never share sampler state.
 package telemetry
 
 import (
