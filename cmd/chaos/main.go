@@ -128,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	if err := rep.Counters.Table("fault/recovery counters").Render(os.Stdout); err != nil {
+	if err := rep.Counters.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

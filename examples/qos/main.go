@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"thymesim/internal/control"
 	"thymesim/internal/core"
 )
 
@@ -38,32 +37,26 @@ func main() {
 		"graph500 BFS (JCT)", graphLocal.BFSTime, graphRemote.BFSTime, graphPenalty)
 
 	// Classify by measured sensitivity, as a QoS-aware control plane
-	// would.
-	classify := func(penalty float64) control.QoSClass {
+	// would: a job that slows down more than 2x is latency-sensitive.
+	class := func(penalty float64) string {
 		if penalty > 2 {
-			return control.ClassLatencySensitive
+			return "latency-sensitive"
 		}
-		return control.ClassLatencyTolerant
+		return "latency-tolerant"
 	}
-	redisClass := classify(redisPenalty)
-	graphClass := classify(graphPenalty)
-	fmt.Printf("\nQoS classification: redis=%v, graph500=%v\n", redisClass, graphClass)
+	fmt.Printf("\nQoS classification: redis=%s, graph500=%s\n", class(redisPenalty), class(graphPenalty))
 
-	// Drive placement through the control plane: the sensitive workload
-	// gets local memory (no reservation); the tolerant one borrows.
-	plane := control.NewPlane()
-	plane.AddNode(0, 512<<30) // app node
-	plane.AddNode(1, 512<<30) // potential lender
-	if graphClass == control.ClassLatencySensitive {
-		fmt.Println("placement: graph500 -> local memory (QoS: protect the sensitive job)")
-	}
-	if redisClass == control.ClassLatencyTolerant {
-		r, err := plane.Reserve(0, 64<<30, redisClass, control.FirstFit{})
-		if err != nil {
-			log.Fatal(err)
+	// Place by class: the sensitive workload keeps local memory; the
+	// tolerant one borrows.
+	for _, w := range []struct {
+		name    string
+		penalty float64
+	}{{"graph500", graphPenalty}, {"redis", redisPenalty}} {
+		if class(w.penalty) == "latency-sensitive" {
+			fmt.Printf("placement: %s -> local memory (QoS: protect the sensitive job)\n", w.name)
+		} else {
+			fmt.Printf("placement: %s -> disaggregated memory (penalty only %.2fx)\n", w.name, w.penalty)
 		}
-		fmt.Printf("placement: redis -> %d GiB disaggregated from node %d (penalty only %.2fx)\n",
-			r.Size>>30, r.Lender, redisPenalty)
 	}
 
 	naive := float64(graphRemote.BFSTime)

@@ -237,18 +237,14 @@ func NewPool(cfg PoolConfig) *Pool {
 		return p
 	}
 
-	swCfg := fabric.SwitchConfig{
-		Ports:            cfg.Borrowers + cfg.Lenders,
-		LinkBandwidthBps: base.LinkBandwidthBps,
-		LinkPropagation:  base.LinkPropagation,
-		SwitchLatency:    300 * sim.Nanosecond,
-		OutputQueue:      256,
-		// Each input queue absorbs the deepest possible in-flight
-		// population (every borrower's full tag space converging on one
-		// lender port, plus control-plane slack), so a node-to-switch
-		// cable never backpressures: contention queues inside the switch.
-		InputQueue: 2*base.TagSpace*cfg.Borrowers + 64,
-	}
+	swCfg := fabric.DefaultSwitchConfig(cfg.Borrowers + cfg.Lenders)
+	swCfg.LinkBandwidthBps = base.LinkBandwidthBps
+	swCfg.LinkPropagation = base.LinkPropagation
+	// Each input queue absorbs the deepest possible in-flight population
+	// (every borrower's full tag space converging on one lender port, plus
+	// control-plane slack), so a node-to-switch cable never backpressures:
+	// contention queues inside the switch.
+	swCfg.InputQueue = 2*base.TagSpace*cfg.Borrowers + 64
 	if cfg.Switch != nil {
 		swCfg = *cfg.Switch
 	}

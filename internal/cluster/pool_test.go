@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"thymesim/internal/axis"
 	"thymesim/internal/memport"
 	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
@@ -597,5 +598,163 @@ func TestPoolStepToControlPlane(t *testing.T) {
 	got := run()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("second run diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
+// poolRead streams n distinct line reads through each region from a fresh
+// remote hierarchy on its borrower, runs the pool dry and returns the
+// finishing time.
+func poolRead(t *testing.T, p *Pool, regions []Region, n int) sim.Time {
+	t.Helper()
+	done := 0
+	for _, r := range regions {
+		h := p.Borrowers[r.Borrower].NewRemoteHierarchy()
+		p.K.At(0, func() {
+			for i := 0; i < n; i++ {
+				h.Access(r.Addr(uint64(i)*ocapi.CacheLineSize), 8, false, func() { done++ })
+			}
+		})
+	}
+	end := p.Run()
+	if done != len(regions)*n {
+		t.Fatalf("completed %d of %d reads", done, len(regions)*n)
+	}
+	return end
+}
+
+// TestPoolIncastSharesLenderPort pins incast: two borrowers streaming from
+// one lender each see roughly half the single-borrower bandwidth, because
+// the lender's switch port is the shared bottleneck. The pool always has
+// four borrowers so the lone stream also crosses the switch.
+func TestPoolIncastSharesLenderPort(t *testing.T) {
+	const lines = 1500
+	bw := func(borrowers int) float64 {
+		p := NewPool(DefaultPoolConfig(4, 1, 1))
+		var regions []Region
+		for b := 0; b < borrowers; b++ {
+			r, err := p.Attach(b, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions = append(regions, r)
+		}
+		end := poolRead(t, p, regions, lines)
+		if p.Switch.Forwarded() == 0 {
+			t.Fatal("traffic bypassed the switch")
+		}
+		return float64(lines*ocapi.CacheLineSize) / end.Seconds()
+	}
+	if ratio := bw(2) / bw(1); ratio < 0.35 || ratio > 0.7 {
+		t.Fatalf("incast ratio = %v, want ~0.5", ratio)
+	}
+}
+
+// TestPoolDisjointPairsDoNotInterfere pins the output-queued switch: two
+// borrowers reading from two different lenders share no bottleneck, so
+// adding the second pair barely moves the finishing time.
+func TestPoolDisjointPairsDoNotInterfere(t *testing.T) {
+	run := func(pairs int) sim.Time {
+		p := NewPool(poolConfig(2, 2))
+		var regions []Region
+		for b := 0; b < pairs; b++ {
+			r, err := p.Attach(b, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Lender != b {
+				t.Fatalf("borrower %d placed on lender %d", b, r.Lender)
+			}
+			regions = append(regions, r)
+		}
+		return poolRead(t, p, regions, 800)
+	}
+	if one, two := run(1), run(2); float64(two) > 1.2*float64(one) {
+		t.Fatalf("disjoint pairs interfered: %v vs %v", two, one)
+	}
+}
+
+// slowGate quantizes transfers onto a 100us grid (Next must be idempotent
+// per the axis.Gate contract).
+type slowGate struct{}
+
+func (slowGate) Next(now sim.Time) sim.Time {
+	const q = sim.Time(100 * sim.Microsecond)
+	return (now + q - 1) / q * q
+}
+func (slowGate) Commit(sim.Time) {}
+
+// TestPoolGateIsolatesBorrower pins per-borrower injection: a pathological
+// gate on borrower 0 stalls its fills while borrower 1, on its own gate
+// and lender, is unaffected.
+func TestPoolGateIsolatesBorrower(t *testing.T) {
+	cfg := poolConfig(2, 2)
+	cfg.GateFor = func(b int) axis.Gate {
+		if b == 0 {
+			return slowGate{}
+		}
+		return nil
+	}
+	p := NewPool(cfg)
+	var at [2]sim.Time
+	for b := 0; b < 2; b++ {
+		r, err := p.Attach(b, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := p.Borrowers[b].NewRemoteHierarchy()
+		p.K.At(0, func() { h.Access(r.Addr(0), 8, false, func() { at[b] = p.K.Now() }) })
+	}
+	p.Run()
+	if at[1] == 0 || at[0] <= at[1]+sim.Time(50*sim.Microsecond) {
+		t.Fatalf("gated borrower not delayed: %v vs %v", at[0], at[1])
+	}
+}
+
+// TestPoolRepeatedAttachesDisjoint pins the lender reservation: repeated
+// attaches on one lender — by one borrower or several — carve disjoint
+// segments behind distinct windows.
+func TestPoolRepeatedAttachesDisjoint(t *testing.T) {
+	const size = 1 << 20
+	cfg := DefaultPoolConfig(2, 1, 1)
+	cfg.LenderCapacity = 3 * size
+	p := NewPool(cfg)
+	var regions []Region
+	for _, b := range []int{0, 0, 1} {
+		r, err := p.Attach(b, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, r)
+	}
+	if regions[0].Base == regions[1].Base {
+		t.Fatalf("both regions landed at borrower base %#x", regions[0].Base)
+	}
+	for i, a := range regions {
+		_, la, ok := p.Borrowers[a.Borrower].NIC.Translator().Translate(a.Base)
+		if !ok || la != a.Segment.Base {
+			t.Fatalf("region %d window translates to %#x (ok=%v), want %#x", i, la, ok, a.Segment.Base)
+		}
+		for _, b := range regions[i+1:] {
+			if a.Segment.Base < b.Segment.Base+b.Segment.Size && b.Segment.Base < a.Segment.Base+a.Segment.Size {
+				t.Fatalf("lender segments overlap: %+v and %+v", a.Segment, b.Segment)
+			}
+		}
+	}
+	if got := p.Lenders[0].Alloc.Allocated(); got != 3*size {
+		t.Fatalf("lender carved %d bytes, want %d", got, 3*size)
+	}
+}
+
+// TestPoolAttachExhaustsLender pins overcommit rejection: an attach past
+// the lender's reservation fails instead of aliasing memory.
+func TestPoolAttachExhaustsLender(t *testing.T) {
+	cfg := DefaultPoolConfig(1, 1, 1)
+	cfg.LenderCapacity = 1 << 20
+	p := NewPool(cfg)
+	if _, err := p.Attach(0, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Attach(0, ocapi.CacheLineSize); err == nil {
+		t.Fatal("attach beyond the lender reservation accepted")
 	}
 }

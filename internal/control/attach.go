@@ -1,3 +1,9 @@
+// Package control models the disaggregation control plane of §II-A: the
+// hot-plug attach handshake (libthymesisflow's job in the prototype), the
+// link supervisor that detects a dead lender and re-attaches, and the
+// circuit breaker that fast-fails accesses to a failing one. Placement —
+// which lender serves a borrower — is cluster.Pool.Attach's job, through
+// a pool.Policy.
 package control
 
 import (

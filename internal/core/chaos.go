@@ -214,12 +214,22 @@ type ChaosResult struct {
 	Violations []string
 }
 
-// chaosCounterNames fixes the counter order shared by the aggregate table
-// and CSV output.
-var chaosCounterNames = []string{
-	"gate_dropped", "gate_corrupted", "flap_blocked",
-	"arq_retransmits", "arq_timeouts", "arq_nack_retries", "arq_dead",
-	"backend_poisoned", "sup_downs", "sup_recoveries",
+// chaosCounters names the campaign's fault/recovery counters in report
+// order and reads each from one run's result.
+var chaosCounters = []struct {
+	name string
+	get  func(*ChaosResult) uint64
+}{
+	{"gate_dropped", func(r *ChaosResult) uint64 { return r.Dropped }},
+	{"gate_corrupted", func(r *ChaosResult) uint64 { return r.Corrupted }},
+	{"flap_blocked", func(r *ChaosResult) uint64 { return r.FlapBlocked }},
+	{"arq_retransmits", func(r *ChaosResult) uint64 { return r.Retransmits }},
+	{"arq_timeouts", func(r *ChaosResult) uint64 { return r.Timeouts }},
+	{"arq_nack_retries", func(r *ChaosResult) uint64 { return r.NackRetries }},
+	{"arq_dead", func(r *ChaosResult) uint64 { return r.Dead }},
+	{"backend_poisoned", func(r *ChaosResult) uint64 { return r.Poisoned }},
+	{"sup_downs", func(r *ChaosResult) uint64 { return r.Downs }},
+	{"sup_recoveries", func(r *ChaosResult) uint64 { return r.Recoveries }},
 }
 
 // runChaosWorkload drives one workload to completion under the fault mix,
@@ -327,8 +337,9 @@ func (o Options) launchChaosWorkload(tb *cluster.Testbed, name string, finish fu
 // ChaosReport is one chaos campaign across the selected workloads.
 type ChaosReport struct {
 	Results []ChaosResult
-	// Counters aggregates fault/recovery activity across all runs.
-	Counters *metrics.CounterSet
+	// Counters sums fault/recovery activity across all runs, one
+	// (counter, value) row per chaosCounters entry.
+	Counters *metrics.Table
 	Table    *metrics.Table
 }
 
@@ -349,8 +360,10 @@ func (o Options) RunChaos(cfg ChaosConfig) *ChaosReport {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	rep := &ChaosReport{Counters: metrics.NewCounterSet()}
-	rep.Counters.Declare(chaosCounterNames...)
+	rep := &ChaosReport{Counters: &metrics.Table{
+		Title:   "fault/recovery counters",
+		Columns: []string{"counter", "value"},
+	}}
 	rep.Table = &metrics.Table{
 		Title:   "Chaos harness: workloads under corruption+drop+flap",
 		Columns: []string{"workload", "completed", "elapsed (us)", "retransmits", "dead", "poisoned", "downs", "recoveries", "violations"},
@@ -361,16 +374,6 @@ func (o Options) RunChaos(cfg ChaosConfig) *ChaosReport {
 		return o.runChaosWorkload(cfg, cfg.Workloads[i])
 	})
 	for _, res := range rep.Results {
-		rep.Counters.Add("gate_dropped", res.Dropped)
-		rep.Counters.Add("gate_corrupted", res.Corrupted)
-		rep.Counters.Add("flap_blocked", res.FlapBlocked)
-		rep.Counters.Add("arq_retransmits", res.Retransmits)
-		rep.Counters.Add("arq_timeouts", res.Timeouts)
-		rep.Counters.Add("arq_nack_retries", res.NackRetries)
-		rep.Counters.Add("arq_dead", res.Dead)
-		rep.Counters.Add("backend_poisoned", res.Poisoned)
-		rep.Counters.Add("sup_downs", res.Downs)
-		rep.Counters.Add("sup_recoveries", res.Recoveries)
 		rep.Table.AddRow(res.Workload,
 			fmt.Sprintf("%t", res.Completed),
 			fmt.Sprintf("%.1f", res.ElapsedUs),
@@ -380,6 +383,13 @@ func (o Options) RunChaos(cfg ChaosConfig) *ChaosReport {
 			fmt.Sprintf("%d", res.Downs),
 			fmt.Sprintf("%d", res.Recoveries),
 			strings.Join(res.Violations, "; "))
+	}
+	for _, c := range chaosCounters {
+		var sum uint64
+		for i := range rep.Results {
+			sum += c.get(&rep.Results[i])
+		}
+		rep.Counters.AddRow(c.name, fmt.Sprintf("%d", sum))
 	}
 	return rep
 }
@@ -480,8 +490,6 @@ type ResilienceRecovery struct {
 	Baseline RecoveryPoint
 	Points   []RecoveryPoint
 	Figure   *metrics.Figure
-	// Counters aggregates recovery activity across the sweep.
-	Counters *metrics.CounterSet
 }
 
 // recoveryFaults maps a scenario to its fault mix.
@@ -565,9 +573,7 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 			YLabel: "bandwidth (GB/s)",
 			LogX:   true,
 		},
-		Counters: metrics.NewCounterSet(),
 	}
-	rr.Counters.Declare("retransmits", "dead", "poisoned", "downs", "recoveries")
 	// Flatten the baseline plus every (scenario, level) pair into one
 	// sweep so the whole grid shares the pool.
 	type job struct {
@@ -583,15 +589,7 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 	pts := sweep.Map(o.Workers, len(jobs), func(i int) RecoveryPoint {
 		return o.recoveryPoint(jobs[i].scenario, jobs[i].level)
 	})
-	account := func(p RecoveryPoint) {
-		rr.Counters.Add("retransmits", p.Retransmits)
-		rr.Counters.Add("dead", p.Dead)
-		rr.Counters.Add("poisoned", p.Poisoned)
-		rr.Counters.Add("downs", p.Downs)
-		rr.Counters.Add("recoveries", p.Recoveries)
-	}
 	rr.Baseline = pts[0]
-	account(rr.Baseline)
 	next := 1
 	for _, f := range families {
 		series := rr.Figure.AddSeries(f.scenario)
@@ -600,7 +598,6 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 			next++
 			rr.Points = append(rr.Points, p)
 			series.Add(p.Level, p.BandwidthGBs)
-			account(p)
 		}
 	}
 	return rr

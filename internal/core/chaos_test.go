@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,20 @@ func TestChaosConfigValidation(t *testing.T) {
 	}
 }
 
+// chaosCounter reads one aggregate row of the campaign's counter table.
+func chaosCounter(t *testing.T, rep *ChaosReport, name string) uint64 {
+	t.Helper()
+	v, ok := rep.Counters.Lookup(name, "value")
+	if !ok {
+		t.Fatalf("counter %q missing", name)
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestChaosAllWorkloadsSurviveFaults(t *testing.T) {
 	o := chaosOptions()
 	cfg := DefaultChaosConfig()
@@ -55,13 +70,13 @@ func TestChaosAllWorkloadsSurviveFaults(t *testing.T) {
 		t.Fatal("chaos campaign failed")
 	}
 	// The fault mix actually fired, and recovery actually worked.
-	if rep.Counters.Get("gate_dropped") == 0 {
+	if chaosCounter(t, rep, "gate_dropped") == 0 {
 		t.Error("no drops under the default mix")
 	}
-	if rep.Counters.Get("gate_corrupted") == 0 {
+	if chaosCounter(t, rep, "gate_corrupted") == 0 {
 		t.Error("no corruption under the default mix")
 	}
-	if rep.Counters.Get("arq_retransmits") == 0 {
+	if chaosCounter(t, rep, "arq_retransmits") == 0 {
 		t.Error("no retransmissions despite loss")
 	}
 	if len(rep.Table.Rows) != 3 {
@@ -159,7 +174,11 @@ func TestResilienceRecoverySweep(t *testing.T) {
 	if flapDowns == 0 {
 		t.Error("flap sweep never took the link down")
 	}
-	if rr.Counters.Get("retransmits") == 0 {
+	var retransmits uint64
+	for _, p := range rr.Points {
+		retransmits += p.Retransmits
+	}
+	if retransmits == 0 {
 		t.Error("sweep saw no retransmissions")
 	}
 }

@@ -378,7 +378,9 @@ func (r *Report) Render(w io.Writer) error {
 			status = "INVARIANT VIOLATIONS — see table"
 		}
 		p("  (%s)\n\n", status)
-		if err := c.Counters.Table("chaos fault/recovery counters").Render(w); err != nil {
+		counters := *c.Counters
+		counters.Title = "chaos " + counters.Title
+		if err := counters.Render(w); err != nil {
 			return err
 		}
 		p("\n")

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -155,6 +157,27 @@ func TestTableRenderAndLookup(t *testing.T) {
 	}
 	if !strings.Contains(csv.String(), "Redis,1.01x,1.73x") {
 		t.Fatalf("csv: %q", csv.String())
+	}
+}
+
+// TestTableWriteCSVRoundTrip proves WriteCSV output parses back into the
+// same cells with a standards-compliant CSV reader, including cells that
+// need quoting.
+func TestTableWriteCSVRoundTrip(t *testing.T) {
+	tb := &Table{Columns: []string{"counter", "value"}}
+	tb.AddRow("drops", "17")
+	tb.AddRow("weird,name", "3")
+	tb.AddRow(`quote"name`, "5")
+	var buf bytes.Buffer
+	if err := tb.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("WriteCSV output does not re-parse: %v", err)
+	}
+	if want := append([][]string{tb.Columns}, tb.Rows...); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("round trip = %q, want %q", rows, want)
 	}
 }
 

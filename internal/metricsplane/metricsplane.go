@@ -252,7 +252,9 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile estimates the q-quantile (0 on nil or empty) by linear
-// interpolation within the owning bucket, like metrics.Histogram.
+// interpolation within the owning bucket. metrics.Histogram does not
+// interpolate: it returns the owning bucket's upper bound, clamped to the
+// observed min and max.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"thymesim/internal/memport"
 	"thymesim/internal/sim"
@@ -71,6 +72,9 @@ func (w *Writer) uvarint(v uint64) error {
 func (w *Writer) Op(op memport.Op) error {
 	if w.closed {
 		return errors.New("trace: write after Close")
+	}
+	if op.Size <= 0 {
+		return fmt.Errorf("trace: access size %d", op.Size)
 	}
 	kind := byte(kindRead)
 	if op.Write {
@@ -179,6 +183,9 @@ func (r *Reader) Next() (Event, error) {
 		size, err := binary.ReadUvarint(r.r)
 		if err != nil {
 			return Event{}, ErrTruncated
+		}
+		if size == 0 || size > math.MaxInt32 {
+			return Event{}, fmt.Errorf("%w: access size %d", ErrCorrupt, size)
 		}
 		return Event{Op: memport.Op{Addr: addr, Size: int32(size), Write: kind == kindWrite}}, nil
 	default:

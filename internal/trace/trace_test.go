@@ -2,7 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -191,4 +196,86 @@ func TestCompressionIsEffective(t *testing.T) {
 	if perOp > 2.0 {
 		t.Fatalf("%.2f bytes/op, want < 2 for sequential scan", perOp)
 	}
+}
+
+// rawTrace wraps hand-built record bytes in the magic and gzip framing.
+func rawTrace(t testing.TB, records []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(append([]byte(Magic), records...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBadAccessSizeIsCorrupt is the regression test for unchecked record
+// sizes: a zero size, or one past int32, used to load as an op that
+// panicked at replay. Both must fail Load with ErrCorrupt, and the writer
+// must refuse to produce them.
+func TestBadAccessSizeIsCorrupt(t *testing.T) {
+	huge := binary.AppendUvarint(nil, math.MaxInt32+1)
+	for name, size := range map[string][]byte{"zero": {0}, "over-int32": huge} {
+		rec := append([]byte{kindRead, 0}, size...)
+		_, err := Load(bytes.NewReader(rawTrace(t, append(rec, kindEnd))))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s size: Load err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	w, _ := NewWriter(io.Discard)
+	for _, size := range []int32{0, -1} {
+		if err := w.Op(memport.Op{Addr: 64, Size: size}); err == nil {
+			t.Errorf("writer accepted size %d", size)
+		}
+	}
+}
+
+// FuzzTraceLoad feeds arbitrary record streams (after the magic, inside
+// valid gzip framing) to Load. Load must never panic; whatever it accepts
+// must hold only replayable ops and re-encode to the same phases.
+func FuzzTraceLoad(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Op(memport.Op{Addr: 0x1000, Size: 64})
+	w.Op(memport.Op{Addr: 0x0fc0, Size: 8, Write: true})
+	w.Barrier()
+	w.Barrier()
+	w.Op(memport.Op{Addr: 1 << 40, Size: 128})
+	w.Close()
+	gz, _ := gzip.NewReader(&buf)
+	valid, _ := io.ReadAll(gz)
+	f.Add(valid[len(Magic):])
+	f.Add([]byte{kindEnd})
+	f.Add([]byte{kindRead, 0, 0, kindEnd})
+	f.Add([]byte{kindWrite, 3, 0x80, 0x80, 0x80, 0x80, 0x08, kindEnd})
+	f.Add([]byte{kindBarrier, 9})
+	f.Fuzz(func(t *testing.T, records []byte) {
+		phases, err := Load(bytes.NewReader(rawTrace(t, records)))
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		w, _ := NewWriter(&re)
+		for i, ph := range phases {
+			for _, op := range ph {
+				if err := w.Op(op); err != nil {
+					t.Fatalf("loaded op %+v does not re-encode: %v", op, err)
+				}
+			}
+			if i < len(phases)-1 || len(ph) == 0 {
+				w.Barrier()
+			}
+		}
+		w.Close()
+		again, err := Load(&re)
+		if err != nil {
+			t.Fatalf("re-encoded trace fails to load: %v", err)
+		}
+		if !reflect.DeepEqual(again, phases) {
+			t.Fatalf("re-encoded phases differ: %v vs %v", again, phases)
+		}
+	})
 }
